@@ -28,8 +28,8 @@ namespace plu::bench {
 // JSON-lines record, so several binaries can share one artifact file.  The
 // whole emitter -- JsonRecord, json_output_path, strip_json_flag (run before
 // google-benchmark sees argv, which would otherwise reject the flag) and
-// json_append -- lives in bench_json.h, shared with the binaries that do not
-// link google-benchmark; there is exactly ONE escaping/NaN policy.
+// json_append -- lives in bench_json.h (unit-tested without
+// google-benchmark); there is exactly ONE escaping/NaN policy.
 
 /// Warmup + min-of-N timing protocol: one untimed warmup run (faults the
 /// pages in, fills caches and allocator pools), then `reps` timed runs,

@@ -63,8 +63,8 @@ struct SymbolicResult {
 /// Runs the static symbolic factorization.  The pattern must be square with
 /// a zero-free (structural) diagonal; throws std::invalid_argument otherwise.
 /// kParallelBitset spins up its own rt::Team sized from
-/// ParallelSymbolicOptions defaults; prefer the team overload when calling
-/// from a pipeline that already owns one.
+/// ParallelSymbolicOptions defaults; prefer the team overload when the
+/// caller already owns a team (core/analysis.cpp does).
 SymbolicResult static_symbolic_factorization(const Pattern& a,
                                              Engine engine = Engine::kBitset);
 

@@ -4,7 +4,7 @@
 // execution is bitwise identical to ExecutionMode::kSequential -- same
 // pivot sequences, same factor values, same status folds -- at any thread
 // count, either layout, any threshold.  Enforced over the same 50-matrix
-// property sweep the pipeline gate uses, plus structural invariants of the
+// property sweep the race harness uses, plus structural invariants of the
 // contracted graph (partition, forward-only edges, flop conservation), the
 // fuzzed-schedule executor, and the race checker (coarsening must neither
 // introduce races nor be disabled by checking).  Carries the `sanitize`
@@ -25,9 +25,8 @@
 namespace plu {
 namespace {
 
-// Same five matrix classes x ten seeds as the race harness and the
-// pipeline gate: convected 2-D grids, dropped 3-D grids, banded, uniform
-// random, circuit.
+// Same five matrix classes x ten seeds as the race harness: convected 2-D
+// grids, dropped 3-D grids, banded, uniform random, circuit.
 std::vector<CscMatrix> sweep_matrices() {
   std::vector<CscMatrix> out;
   gen::StencilOptions g;
@@ -55,7 +54,7 @@ std::vector<CscMatrix> sweep_matrices() {
   return out;
 }
 
-// Bitwise factor identity (the pipeline gate's assertion set).  When the
+// Bitwise factor identity.  When the
 // reference broke down only unusability must agree: under cooperative
 // cancellation which failing column is OBSERVED first is
 // schedule-dependent.

@@ -5,7 +5,7 @@
 // measured-density per-tile routing, adjacent same-decision tile fusion --
 // and the factors stay BITWISE identical to blocking == kOff at any thread
 // count, either layout, any option rotation.  Enforced over the same
-// 50-matrix property sweep the coarsening and pipeline gates use, plus
+// 50-matrix property sweep the coarsening gate uses, plus
 // structural invariants of the plan itself, transpose consistency of the
 // block structure after plan construction, the fuzzed-schedule executor,
 // the race checker, and the DAG-bound tiny-supernode merge.  Carries the
@@ -28,9 +28,9 @@
 namespace plu {
 namespace {
 
-// Same five matrix classes x ten seeds as the race harness, the pipeline
-// gate and the coarsening gate: convected 2-D grids, dropped 3-D grids,
-// banded, uniform random, circuit.
+// Same five matrix classes x ten seeds as the race harness and the
+// coarsening gate: convected 2-D grids, dropped 3-D grids, banded, uniform
+// random, circuit.
 std::vector<CscMatrix> sweep_matrices() {
   std::vector<CscMatrix> out;
   gen::StencilOptions g;

@@ -179,6 +179,9 @@ TEST(SolveMatrix, RejectsShapeMismatch) {
   Factorization f(an, a);
   blas::DenseMatrix b(a.rows(), 2), x(a.rows() - 1, 2);
   EXPECT_THROW(f.solve_matrix(b.view(), x.view()), std::invalid_argument);
+  // The single-rhs solve checks its length the same way.
+  EXPECT_THROW(f.solve(std::vector<double>(a.rows() + 1, 1.0)),
+               std::invalid_argument);
 }
 
 TEST(PivotGrowth, ModestUnderPartialPivoting) {

@@ -93,6 +93,9 @@ TEST(SparseLU, RejectsNonSquare) {
   coo.add(0, 2, 1.0);
   SparseLU lu;
   EXPECT_THROW(lu.analyze(coo.to_csc()), std::invalid_argument);
+  // Order-0 matrices were never supported (a supernode partition needs at
+  // least one boundary): rejected with the same exception, no hang.
+  EXPECT_THROW(lu.analyze(CooMatrix(0, 0).to_csc()), std::invalid_argument);
 }
 
 TEST(SparseLU, RejectsStructurallySingular) {
@@ -102,6 +105,9 @@ TEST(SparseLU, RejectsStructurallySingular) {
   coo.add(2, 1, 1.0);
   coo.add(2, 2, 1.0);
   SparseLU lu;
+  EXPECT_THROW(lu.analyze(coo.to_csc()), std::invalid_argument);
+  // The MC64 preprocessing path rejects it the same way.
+  lu.options().scale_and_permute = true;
   EXPECT_THROW(lu.analyze(coo.to_csc()), std::invalid_argument);
 }
 
