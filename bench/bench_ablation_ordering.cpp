@@ -12,7 +12,15 @@
 // ordering speedup field is emitted as null (non-finite -> null in
 // bench_json) -- a one-core "speedup" is timer noise, not data.
 //
-// Flags: --smoke (small sizes + 1 rep, the CI gate), --json FILE.
+// An n-sweep follows: grid3d k^3 (k = 12, 15, 18) and multiphysics3d
+// (4 dofs, k = 6, 8, 10), timing the md / amd / nd engines at each size and
+// recording the log-log growth exponent of each engine's ordering seconds
+// against the previous size -- whether ordering cost grows like the factor
+// or faster.  One `ordering_sweep` record per (family, size).
+//
+// Flags: --smoke (small sizes + 1 rep, the CI gate; the sweep keeps only
+// its smallest size), --json FILE.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -58,6 +66,75 @@ std::vector<Case> make_cases(bool smoke) {
                      gen::power_law(n, 4.0, 2.0, 0.6, 0.8, 92)});
   }
   return cases;
+}
+
+// Ordering-seconds growth with n for the engines that matter at scale.
+void run_sweep(bool smoke) {
+  const int reps = smoke ? 1 : 2;
+  struct Family {
+    const char* name;
+    std::vector<int> sizes;
+    CscMatrix (*make)(int k);
+  };
+  const std::vector<Family> families = {
+      {"grid3d", {12, 15, 18},
+       [](int k) { return gen::grid3d(k, k, k, {0.4, 0.0, 0.7, 2}); }},
+      {"multiphysics3d", {6, 8, 10},
+       [](int k) {
+         return gen::multiphysics3d(k, k, k, 4, {0.4, 0.0, 0.7, 7});
+       }},
+  };
+  const ordering::Method methods[] = {ordering::Method::kMinimumDegreeAtA,
+                                      ordering::Method::kAmdAtA,
+                                      ordering::Method::kNestedDissectionAtA};
+  const char* keys[] = {"md", "amd", "nd"};
+  std::printf("\nordering n-sweep (seconds; growth exponent vs previous n)\n");
+  std::printf("%-16s %8s %18s %18s %18s\n", "matrix", "n", "md", "amd", "nd");
+  print_rule(82);
+  for (const Family& fam : families) {
+    double prev_n = 0.0;
+    double prev_secs[3] = {0.0, 0.0, 0.0};
+    const std::size_t sizes = smoke ? 1 : fam.sizes.size();
+    for (std::size_t i = 0; i < sizes; ++i) {
+      const int k = fam.sizes[i];
+      const CscMatrix a = fam.make(k);
+      const double n = a.rows();
+      const std::string label = std::string(fam.name) + ":" + std::to_string(k);
+      JsonRecord rec;
+      rec.field("bench", "ordering_sweep")
+          .field("matrix", label)
+          .field("family", fam.name)
+          .field("k", k)
+          .field("n", a.rows())
+          .field("nnz", a.nnz())
+          .field("reps", reps);
+      std::printf("%-16s %8d", label.c_str(), a.rows());
+      for (int m = 0; m < 3; ++m) {
+        ordering::Controls ctl;
+        const double secs = min_of_n_seconds(reps, [&] {
+          ordering::compute_column_ordering(a.pattern(), methods[m], ctl,
+                                            nullptr);
+        });
+        // log-log slope between consecutive sizes; null at the first size.
+        const double exponent =
+            prev_n > 0.0
+                ? std::log(secs / prev_secs[m]) / std::log(n / prev_n)
+                : std::numeric_limits<double>::quiet_NaN();
+        rec.field((std::string(keys[m]) + "_seconds").c_str(), secs)
+            .field((std::string(keys[m]) + "_exponent").c_str(), exponent);
+        if (std::isfinite(exponent)) {
+          std::printf("  %9.4f (%5.2f)", secs, exponent);
+        } else {
+          std::printf("  %9.4f (  -  )", secs);
+        }
+        prev_secs[m] = secs;
+      }
+      std::printf("\n");
+      prev_n = n;
+      json_append(rec);
+    }
+  }
+  print_rule(82);
 }
 
 void run(bool smoke) {
@@ -182,5 +259,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   plu::bench::run(smoke);
+  plu::bench::run_sweep(smoke);
   return 0;
 }

@@ -119,15 +119,11 @@ Analysis analyze_pattern(const Pattern& a, const Options& opt) {
   an.symbolic = std::move(sym);
   an.eforest = std::move(ef);
 
-  if (opt.postorder) {
-    std::vector<int> sz = an.eforest.subtree_sizes();
-    for (int r : an.eforest.roots()) an.diag_block_sizes.push_back(sz[r]);
-  } else {
-    // Without postordering the block-triangular reading does not apply;
-    // report tree sizes all the same (root order).
-    std::vector<int> sz = an.eforest.subtree_sizes();
-    for (int r : an.eforest.roots()) an.diag_block_sizes.push_back(sz[r]);
-  }
+  // One diagonal block per eforest tree, in root order.  Without
+  // postordering the block-triangular reading does not apply; the tree sizes
+  // are reported all the same.
+  const std::vector<int> tree_sizes = an.eforest.subtree_sizes();
+  for (int r : an.eforest.roots()) an.diag_block_sizes.push_back(tree_sizes[r]);
   an.timings.eforest_postorder = lap(last);
 
   // (4) L/U supernode partitioning and amalgamation (forest-parallel: one

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <vector>
 
 #include "ordering/amd.h"
@@ -16,12 +17,21 @@ Permutation minimum_degree(const Pattern& symmetric_pattern) {
   const int n = symmetric_pattern.cols;
   Pattern g = Pattern::symmetrized(symmetric_pattern);
 
-  // Quotient graph state.
+  // Quotient graph state.  Each elimination forms at most one element, so
+  // element ids are < n and are handed out in creation order; var_elems[u]
+  // is therefore ascending (compaction keeps the order).  Element e's
+  // boundary is elem_pool[elem_start[e], elem_start[e] + elem_len[e]).  A
+  // live element never holds an eliminated variable: eliminating x absorbs
+  // every live element x belongs to.
   std::vector<std::vector<int>> adj(n);       // variable-variable edges
   std::vector<std::vector<int>> var_elems(n); // elements adjacent to variable
-  std::vector<std::vector<int>> elem_vars;    // element boundary lists
+  std::vector<int> elem_pool;                 // boundaries, append-only
+  std::vector<std::size_t> elem_start(n, 0);
+  std::vector<int> elem_len(n, 0);
+  std::vector<char> elem_alive(n, 0);
+  int num_elems = 0;
+  std::size_t dead_words = 0;  // pool entries of absorbed elements
   std::vector<char> eliminated(n, 0);
-  std::vector<char> elem_alive;
 
   for (int v = 0; v < n; ++v) {
     for (const int* it = g.col_begin(v); it != g.col_end(v); ++it) {
@@ -38,38 +48,110 @@ Permutation minimum_degree(const Pattern& symmetric_pattern) {
   int stamp = 0;
   std::vector<int> boundary;
 
-  // Computes the current exact external degree of u (reachable set size via
-  // plain edges + live element boundaries), compacting u's lists in passing.
-  auto exact_degree = [&](int u) {
-    ++stamp;
-    mark[u] = stamp;
-    int deg = 0;
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < adj[u].size(); ++r) {
-      int x = adj[u][r];
-      if (eliminated[x]) continue;
-      adj[u][w++] = x;
-      if (mark[x] != stamp) {
-        mark[x] = stamp;
-        ++deg;
+  // Appends `boundary` as a new live element.  When the pool is full and at
+  // least half of it belongs to absorbed elements, the live boundaries are
+  // first slid to the front (ids and contents unchanged), so the pool stays
+  // near the live boundary size instead of growing with every element ever
+  // formed.
+  auto add_element = [&]() {
+    if (elem_pool.size() + boundary.size() > elem_pool.capacity() &&
+        2 * dead_words >= elem_pool.size()) {
+      std::size_t w = 0;
+      for (int e = 0; e < num_elems; ++e) {
+        if (!elem_alive[e]) continue;
+        const auto first = elem_pool.begin() + elem_start[e];
+        std::copy(first, first + elem_len[e], elem_pool.begin() + w);
+        elem_start[e] = w;
+        w += elem_len[e];
       }
+      elem_pool.resize(w);
+      dead_words = 0;
     }
-    adj[u].resize(w);
-    w = 0;
-    for (std::size_t r = 0; r < var_elems[u].size(); ++r) {
-      int e = var_elems[u][r];
-      if (!elem_alive[e]) continue;
-      var_elems[u][w++] = e;
-      for (int x : elem_vars[e]) {
-        if (x == u || eliminated[x]) continue;
-        if (mark[x] != stamp) {
-          mark[x] = stamp;
-          ++deg;
+    const int eid = num_elems++;
+    elem_start[eid] = elem_pool.size();
+    elem_len[eid] = static_cast<int>(boundary.size());
+    elem_alive[eid] = 1;
+    elem_pool.insert(elem_pool.end(), boundary.begin(), boundary.end());
+    return eid;
+  };
+
+  // Degree refresh state.  For a new element me with boundary L_me, every
+  // u in L_me reaches all of L_me, so its exact external degree is
+  //   |L_me| - 1 + |reach(u) \ L_me|,
+  // where reach(u) \ L_me is the union of u's live plain neighbors outside
+  // L_me and the outside lists L_e \ L_me of u's other live elements e.
+  // Each outside list is built once per (e, me) into `outside`; the largest
+  // one of u is counted by its length alone, and the rest is counted only
+  // where it lies outside that largest element (a binary search of the
+  // element id in var_elems[x]).
+  std::vector<int> in_me(n, -1);     // == me: variable is in L_me
+  std::vector<int> out_tag(n, -1);   // == me: outside list of e is built
+  std::vector<std::size_t> out_start(n, 0);
+  std::vector<int> out_len(n, 0);
+  std::vector<int> outside;
+  std::vector<int> fresh_degree(n, 0);
+
+  auto refresh_element = [&](int me) {
+    const int* lme = elem_pool.data() + elem_start[me];
+    const int lme_len = elem_len[me];
+    for (int i = 0; i < lme_len; ++i) in_me[lme[i]] = me;
+    outside.clear();
+    for (int i = 0; i < lme_len; ++i) {
+      const int u = lme[i];
+      std::vector<int>& elems = var_elems[u];
+      if (elems.back() != me) continue;  // refreshed with its newest element
+
+      // Live elements of u (compacted in passing) and their outside lists.
+      int big = -1;
+      int big_len = 0;
+      std::size_t w = 0;
+      for (std::size_t r = 0; r < elems.size(); ++r) {
+        const int e = elems[r];
+        if (!elem_alive[e]) continue;
+        elems[w++] = e;
+        if (e == me) continue;
+        if (out_tag[e] != me) {
+          out_tag[e] = me;
+          out_start[e] = outside.size();
+          const int* le = elem_pool.data() + elem_start[e];
+          for (int k = 0; k < elem_len[e]; ++k) {
+            if (in_me[le[k]] != me) outside.push_back(le[k]);
+          }
+          out_len[e] = static_cast<int>(outside.size() - out_start[e]);
+        }
+        if (out_len[e] > big_len) {
+          big = e;
+          big_len = out_len[e];
         }
       }
+      elems.resize(w);
+
+      ++stamp;
+      int deg = lme_len - 1 + big_len;
+      // x is live and outside L_me; counts once, unless it lies in `big`.
+      auto counts = [&](int x) {
+        if (mark[x] == stamp) return 0;
+        mark[x] = stamp;
+        if (big < 0) return 1;
+        const std::vector<int>& xe = var_elems[x];
+        return std::binary_search(xe.begin(), xe.end(), big) ? 0 : 1;
+      };
+      for (int e : elems) {
+        if (e == me || e == big) continue;
+        const int* o = outside.data() + out_start[e];
+        for (int k = 0; k < out_len[e]; ++k) deg += counts(o[k]);
+      }
+      std::vector<int>& nbrs = adj[u];
+      w = 0;
+      for (std::size_t r = 0; r < nbrs.size(); ++r) {
+        const int x = nbrs[r];
+        if (eliminated[x]) continue;
+        nbrs[w++] = x;
+        if (in_me[x] != me) deg += counts(x);
+      }
+      nbrs.resize(w);
+      fresh_degree[u] = deg;
     }
-    var_elems[u].resize(w);
-    return deg;
   };
 
   // Multiple elimination (GENMMD-style): within one pass, eliminate every
@@ -88,6 +170,7 @@ Permutation minimum_degree(const Pattern& symmetric_pattern) {
     ++pass_id;
     touched.clear();
     stash.clear();
+    const int pass_first_elem = num_elems;
     int d0 = -1;
     for (;;) {
       int dv = 0;
@@ -119,19 +202,20 @@ Permutation minimum_degree(const Pattern& symmetric_pattern) {
       }
       for (int e : var_elems[v]) {
         if (!elem_alive[e]) continue;
-        for (int x : elem_vars[e]) {
+        const int* le = elem_pool.data() + elem_start[e];
+        for (int k = 0; k < elem_len[e]; ++k) {
+          const int x = le[k];
           if (!eliminated[x] && mark[x] != stamp) {
             mark[x] = stamp;
             boundary.push_back(x);
           }
         }
         elem_alive[e] = 0;  // absorbed into the new element
+        dead_words += static_cast<std::size_t>(elem_len[e]);
       }
       if (boundary.empty()) continue;
 
-      int eid = static_cast<int>(elem_vars.size());
-      elem_vars.push_back(boundary);
-      elem_alive.push_back(1);
+      const int eid = add_element();
       for (int u : boundary) {
         var_elems[u].push_back(eid);
         if (pass_mark[u] != pass_id) {
@@ -143,11 +227,15 @@ Permutation minimum_degree(const Pattern& symmetric_pattern) {
     // Reinsert deferred variables with their old degree, then refresh every
     // touched variable's exact degree (stash members that were touched get
     // refreshed by the second loop; update() keeps list state consistent).
+    // Boundary members of this pass's elements are all stashed, so those
+    // elements are still live; each touched variable is refreshed with the
+    // newest of them, and the list updates keep the `touched` order.
     for (auto [u, d] : stash) {
       if (!eliminated[u]) lists.insert(u, d);
     }
+    for (int me = pass_first_elem; me < num_elems; ++me) refresh_element(me);
     for (int u : touched) {
-      if (!eliminated[u]) lists.update(u, exact_degree(u));
+      if (!eliminated[u]) lists.update(u, fresh_degree[u]);
     }
   }
 

@@ -1,7 +1,9 @@
 // Orderings: validity, fill reduction of minimum degree and AMD, bandwidth
 // reduction of RCM, nested-dissection separator/fallback behavior, the
-// policy dispatcher, and the parallel-AMD determinism gate (bit-identical
-// orderings at 1/2/4/8 lanes -- run under TSan by the CI sanitize job).
+// policy dispatcher, the parallel-AMD determinism gate (bit-identical
+// orderings at 1/2/4/8 lanes -- run under TSan by the CI sanitize job), and
+// the exact-minimum-degree bitwise gate against the reference oracle in
+// reference_minimum_degree.h (run under ASan+UBSan by CI).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,12 +12,14 @@
 #include "core/report.h"
 #include "core/sparse_lu.h"
 #include "graph/transversal.h"
+#include "matrix/named_matrices.h"
 #include "ordering/amd.h"
 #include "ordering/engine.h"
 #include "ordering/minimum_degree.h"
 #include "ordering/nested_dissection.h"
 #include "ordering/ordering.h"
 #include "ordering/rcm.h"
+#include "reference_minimum_degree.h"
 #include "runtime/parallel_for.h"
 #include "symbolic/static_symbolic.h"
 #include "test_helpers.h"
@@ -82,6 +86,80 @@ TEST(MinimumDegree, EmptyAndSingleton) {
   CooMatrix coo(1, 1);
   coo.add(0, 0, 1.0);
   EXPECT_EQ(minimum_degree(coo.to_csc().pattern()).size(), 1);
+}
+
+// --- Exact minimum degree vs the reference oracle ---------------------------
+
+// Symmetric patterns the bitwise gate orders: the seven Table-1 A^T A
+// patterns, >= 5 seeds of every generator class, a power-law instance below
+// the hub guard, and the degenerate shapes.
+std::vector<std::pair<std::string, Pattern>> md_gate_patterns() {
+  std::vector<std::pair<std::string, Pattern>> out;
+  auto add = [&](std::string name, const CscMatrix& a) {
+    out.emplace_back(std::move(name), Pattern::ata(a.pattern()));
+  };
+  for (const NamedMatrix& nm : make_benchmark_suite()) add(nm.name, nm.a);
+  gen::StencilOptions g;
+  for (std::uint64_t s = 0; s < 5; ++s) {
+    const int k = static_cast<int>(s);
+    g.seed = 700 + s;
+    g.drop_probability = 0.05 * static_cast<double>(s);
+    add("grid2d", gen::grid2d(12 + 3 * k, 10 + k, g));
+    add("grid3d", gen::grid3d(5 + k, 6, 4 + k, g));
+    add("multiphysics3d", gen::multiphysics3d(4 + k % 2, 4, 3 + k, 2 + k % 3, g));
+    add("random_sparse",
+        gen::random_sparse(200 + 60 * k, 2.5 + 0.5 * k, 0.6, 0.8, 710 + s));
+    add("circuit", gen::circuit(300 + 50 * k, 1 + k % 3, 2.5, 720 + s));
+    add("banded", gen::banded(300 + 40 * k, {-9, -4, -1, 1, 2, 6}, 0.7, 0.7,
+                              730 + s));
+    add("fem_p2", gen::fem_p2(4 + k, 3 + k % 2, 1 + k % 2, 740 + s));
+  }
+  add("power_law", gen::power_law(1500, 4.0, 2.0, 0.6, 0.8, 750));
+  add("block_diag", gen::block_diag({gen::grid2d(6, 5, {}),
+                                     gen::circuit(80, 1, 2.0, 751),
+                                     gen::banded(40, {-1, 1}, 1.0, 0.7, 752)}));
+  out.emplace_back("order-0", Pattern(0, 0));
+  CooMatrix one(1, 1);
+  one.add(0, 0, 1.0);
+  out.emplace_back("1x1", one.to_csc().pattern());
+  CooMatrix diag(50, 50);
+  for (int i = 0; i < 50; ++i) diag.add(i, i, 1.0);
+  out.emplace_back("diagonal", diag.to_csc().pattern());
+  return out;
+}
+
+TEST(MinimumDegree, MatchesReferenceBitwise) {
+  // The production degree refresh (one scan per new element, outside lists,
+  // largest list counted by length) must reproduce the reference engine's
+  // exact external degrees, and hence its permutation, entry for entry.
+  int checked = 0;
+  for (const auto& [name, g] : md_gate_patterns()) {
+    if (name == "power_law") {
+      ASSERT_FALSE(hub_heavy(g)) << "power-law gate case must stay exact MD";
+    }
+    const Permutation ref = reference::minimum_degree(g);
+    const Permutation got = minimum_degree(g);
+    ASSERT_TRUE(Permutation::is_valid(got.old_positions())) << name;
+    EXPECT_EQ(ref.old_positions(), got.old_positions())
+        << name << " n=" << g.cols;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 7 + 7 * 5 + 5);
+
+  // Nested dissection orders its leaves and separators with minimum degree.
+  // These figures were produced by the reference engine's leaves; the
+  // rewritten refresh must leave them unchanged.
+  gen::StencilOptions g;
+  g.seed = 7;
+  const Pattern grid = Pattern::ata(gen::grid3d(10, 10, 10, g).pattern());
+  const Permutation nd = nested_dissection(grid);
+  EXPECT_EQ(cholesky_fill(grid, nd), 105678);
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the permutation
+  for (int v : nd.old_positions()) {
+    h ^= static_cast<std::uint32_t>(v);
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0x065b374046530761ull);
 }
 
 long bandwidth(const Pattern& p, const Permutation& perm) {

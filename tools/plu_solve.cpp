@@ -318,8 +318,14 @@ int main(int argc, char** argv) {
     std::printf("relative residual: %.3e\n", plu::relative_residual(a, x, b));
 
     if (stats) {
+      // Both reports open with the same ordering line; print it once, with
+      // the analysis report.
+      std::string factor_report = plu::to_string(plu::report(f));
+      if (factor_report.rfind("ordering:", 0) == 0) {
+        factor_report.erase(0, factor_report.find('\n') + 1);
+      }
       std::printf("%s\n%s\n", plu::to_string(plu::report(an)).c_str(),
-                  plu::to_string(plu::report(f)).c_str());
+                  factor_report.c_str());
       plu::ConditionEstimate c = plu::estimate_condition(f, a);
       std::printf("cond_1 estimate: %.3e (||A||=%.3e, ||A^-1||~%.3e)\n", c.cond1,
                   c.norm_a, c.norm_ainv);
