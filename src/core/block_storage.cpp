@@ -121,7 +121,6 @@ BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode mode,
 
 void BlockMatrix::load(const CscMatrix& a) {
   assert(a.rows() == bs_->part.num_cols() && a.cols() == bs_->part.num_cols());
-  set_zero();
   for (int col = 0; col < a.cols(); ++col) {
     const int j = bs_->part.supernode_of(col);
     const int jc = col - bs_->part.first(j);  // column within the block column

@@ -12,10 +12,11 @@
 //   kArena (default): ONE contiguous 64-byte-aligned slab sized exactly
 //   from the symbolic block structure, with every column buffer starting
 //   on a 64-byte boundary inside it.  One allocation instead of one per
-//   block column, set_zero() as a single contiguous fill (the
-//   refactorization fast path), and pages first-touched by the worker
-//   threads that will own each column range (`init_threads`), so on NUMA
-//   machines the column data lands near its consumers.
+//   block column, and pages first-touched by the worker threads that will
+//   own each column range (`init_threads`), so on NUMA machines the column
+//   data lands near its consumers.  That first-touch fill is the only
+//   zeroing of a fresh slab; Factorization::refactor reuses the slab with
+//   one set_zero() (a single contiguous fill) per refactorization.
 //
 //   kVectors: the original per-column std::vector<std::vector<double>>
 //   layout, kept as the storage-ablation baseline
@@ -71,11 +72,13 @@ class BlockMatrix {
   std::size_t storage_bytes() const;
 
   /// Scatters a CSC matrix (already permuted to the analysis ordering) into
-  /// the blocks.  Throws if an entry falls outside the block pattern.
+  /// the blocks.  Positions outside a's pattern keep their values, so load
+  /// into zeroed storage: freshly constructed, or after set_zero().  Throws
+  /// if an entry falls outside the block pattern.
   void load(const CscMatrix& a);
 
-  /// Resets all values to zero (for refactorization on the same structure).
-  /// Under kArena this is one contiguous fill of the slab.
+  /// Resets all values to zero: the refactorization path
+  /// (Factorization::refactor).  Under kArena one contiguous fill of the slab.
   void set_zero();
 
   /// Dense view of block (i, j); block must be structurally present.

@@ -1,7 +1,9 @@
 #include "core/numeric.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -27,30 +29,71 @@ const taskgraph::TaskGraph& Factorization::task_graph() const {
   return layout_ == Layout::k2D ? analysis_->block_graph : analysis_->graph;
 }
 
+namespace {
+
+/// Max |x[i]| over n contiguous doubles, NaN ignored exactly as
+/// std::max(m, NaN) ignores it -- so the result is order-independent and
+/// equals blas::max_abs -- and whether every entry is finite.  Four lanes
+/// break the max and sum dependence chains.
+double max_abs_and_finite(const double* x, std::size_t n, bool& finite) {
+  double m[4] = {}, z[4] = {};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (int l = 0; l < 4; ++l) {
+      m[l] = std::max(m[l], std::abs(x[i + l]));
+      z[l] += x[i + l] * 0.0;  // stays +-0 until an Inf or NaN arrives
+    }
+  }
+  for (; i < n; ++i) {
+    m[0] = std::max(m[0], std::abs(x[i]));
+    z[0] += x[i] * 0.0;
+  }
+  finite = z[0] + z[1] + z[2] + z[3] == 0.0;
+  return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
+}
+
+}  // namespace
+
 Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
                              const NumericOptions& opt)
     : analysis_(&analysis),
       blocks_(analysis.blocks, opt.storage,
               opt.mode == ExecutionMode::kThreaded ? opt.threads : 1),
       layout_(analysis.options.layout) {
-  if (a.rows() != analysis.n || a.cols() != analysis.n) {
-    throw std::invalid_argument("Factorization: matrix/analysis size mismatch");
-  }
-  const int nb = analysis.blocks.num_blocks();
-  const taskgraph::TaskGraph& graph = task_graph();
-  if (layout_ == Layout::k2D && graph.size() == 0 && nb > 0) {
+  if (layout_ == Layout::k2D && task_graph().size() == 0 &&
+      analysis.blocks.num_blocks() > 0) {
     throw std::logic_error(
         "Factorization: 2-D layout needs an analysis run with "
         "Options::layout = Layout::k2D (no block graph present)");
   }
-  blocks_.load(analysis.permute_input(a));
+  run_numeric(a, opt);  // the constructor's first-touch fill zeroed blocks_
+}
+
+void Factorization::refactor(const CscMatrix& a, const NumericOptions& opt) {
+  blocks_.set_zero();
+  run_numeric(a, opt);
+}
+
+void Factorization::run_numeric(const CscMatrix& a, const NumericOptions& opt) {
+  const Analysis& analysis = *analysis_;
+  if (a.rows() != analysis.n || a.cols() != analysis.n) {
+    throw std::invalid_argument("Factorization: matrix/analysis size mismatch");
+  }
+  if (a.values().size() != static_cast<std::size_t>(a.nnz())) {
+    throw std::invalid_argument("Factorization: values/pattern length mismatch");
+  }
+  const int nb = analysis.blocks.num_blocks();
+  const taskgraph::TaskGraph& graph = task_graph();
+  const CscMatrix permuted = analysis.permute_input(a);
+  blocks_.load(permuted);
   ipiv_.assign(nb, {});
 
-  // Matrix magnitude reference for min_pivot_ratio (max |entry| of the
-  // loaded, scaled+permuted matrix).
+  // Matrix magnitude reference for min_pivot_ratio: max |entry| of the
+  // loaded (scaled+permuted) matrix, read off its CSC values -- the zero
+  // padding of the blocks cannot raise a max.
   double matrix_scale = 0.0;
-  for (int j = 0; j < nb; ++j) {
-    matrix_scale = std::max(matrix_scale, blas::max_abs(blocks_.column(j)));
+  for (double v : permuted.values()) {
+    matrix_scale = std::max(matrix_scale, std::abs(v));
   }
   if (matrix_scale == 0.0) matrix_scale = 1.0;
 
@@ -62,10 +105,10 @@ Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
   factored_blocks_ = (opt.stop_after_block >= 0 && opt.stop_after_block < nb)
                          ? opt.stop_after_block
                          : nb;
-  if (opt.perturb_pivots) {
-    perturb_magnitude_ =
-        std::sqrt(std::numeric_limits<double>::epsilon()) * matrix_scale;
-  }
+  perturb_magnitude_ =
+      opt.perturb_pivots
+          ? std::sqrt(std::numeric_limits<double>::epsilon()) * matrix_scale
+          : 0.0;
   NumericRun run{analysis, blocks_, ipiv_, graph, checker.get(),
                  factored_blocks_};
   run.perturb_magnitude = perturb_magnitude_;
@@ -82,15 +125,20 @@ Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
   perturbed_columns_ = std::move(run.perturbed_columns);
   coarsen_stats_ = run.coarsen;
   blocking_stats_ = run.blocking;
-  // Final factor scan: pivot growth, plus overflow the factor tasks could
-  // not see (in the 1-D layout the U blocks above a panel are only written
-  // by Update tasks, which perform no scan of their own).
+  // One pass over the factor: pivot growth, plus overflow the factor tasks
+  // could not see (in the 1-D layout the U blocks above a panel are only
+  // written by Update tasks, which perform no scan of their own).  A block
+  // column's buffer is contiguous (ld == rows).
   double factor_max = 0.0;
   for (int j = 0; j < nb; ++j) {
     blas::ConstMatrixView col = blocks_.column(j);
-    factor_max = std::max(factor_max, blas::max_abs(col));
+    bool finite = true;
+    factor_max = std::max(
+        factor_max,
+        max_abs_and_finite(col.data, std::size_t(col.rows) * col.cols, finite));
     int bad = -1;
-    if (factor_usable(status_) && !blas::all_finite(col, &bad)) {
+    if (!finite && factor_usable(status_)) {
+      blas::all_finite(col, &bad);
       status_ = FactorStatus::kOverflow;
       failed_column_ = analysis.blocks.part.first(j) + bad;
     }
@@ -98,10 +146,8 @@ Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
   growth_factor_ = factor_max / matrix_scale;
   // Cross-check the recorded footprints against the dependence graph the
   // run executed.
-  if (checker) {
-    races_ = checker->check(graph);
-    race_checked_ = true;
-  }
+  races_ = checker ? checker->check(graph) : std::vector<rt::FootprintRace>{};
+  race_checked_ = checker != nullptr;
 }
 
 void Factorization::require_usable(const char* what) const {

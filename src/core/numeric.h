@@ -167,6 +167,12 @@ class Factorization {
   Factorization(const Analysis& analysis, const CscMatrix& a,
                 const NumericOptions& opt = {});
 
+  /// Refactorizes new values of the analyzed pattern on the zeroed, reused
+  /// block storage; every per-run result is recomputed and the factors are
+  /// bitwise those of a fresh Factorization.  `opt.storage` is ignored.  If
+  /// this throws, the values are unspecified: discard the object.
+  void refactor(const CscMatrix& a, const NumericOptions& opt = {});
+
   const Analysis& analysis() const { return *analysis_; }
   const BlockMatrix& blocks() const { return blocks_; }
   BlockMatrix& blocks() { return blocks_; }
@@ -267,6 +273,8 @@ class Factorization {
 
  private:
   friend class NumericDriver;
+  /// Scatter, driver and one fused scan over zeroed storage (both paths).
+  void run_numeric(const CscMatrix& a, const NumericOptions& opt);
   /// Throws std::runtime_error unless factor_usable(status_).
   void require_usable(const char* what) const;
 

@@ -46,8 +46,22 @@ bool SparseLU::pattern_matches(const CscMatrix& a) const {
 
 void SparseLU::factorize(const CscMatrix& a) {
   if (!pattern_matches(a)) analyze(a);
-  parallel_solver_.reset();  // bound to the factorization it was built from
-  factorization_ = std::make_unique<Factorization>(*analysis_, a, numeric_options_);
+  parallel_solver_.reset();  // its row maps fold in the old pivots
+  try {
+    if (factorization_ &&
+        factorization_->blocks().storage_mode() == numeric_options_.storage) {
+      // analyze() drops the factorization, so this one is on the current
+      // analysis: refactorize in place on its slab.
+      factorization_->refactor(a, numeric_options_);
+    } else {
+      factorization_.reset();  // free the old slab before mapping a new one
+      factorization_ =
+          std::make_unique<Factorization>(*analysis_, a, numeric_options_);
+    }
+  } catch (...) {
+    factorization_.reset();  // no stale status over half-overwritten values
+    throw;
+  }
   last_matrix_ = a;
 }
 

@@ -127,7 +127,7 @@ class WorkStealEngine {
         run_task(me, id);
         continue;
       }
-      idle(me);
+      idle();
     }
   }
 
@@ -225,7 +225,7 @@ class WorkStealEngine {
     return false;
   }
 
-  void idle(Worker& me) {
+  void idle() {
     // Exponential backoff: spin rounds of 1, 2, 4, ..., max_spin pause
     // iterations, re-probing between rounds; yield each round so on an
     // oversubscribed core the worker actually holding work gets to run.

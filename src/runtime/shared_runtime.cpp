@@ -151,7 +151,7 @@ void SharedRuntime::worker_loop(int tid) {
       continue;
     }
     if (shutdown_.load(std::memory_order_acquire)) return;
-    idle(me);
+    idle();
   }
 }
 
@@ -276,7 +276,7 @@ bool SharedRuntime::work_visible() const {
   return false;
 }
 
-void SharedRuntime::idle(Worker& me) {
+void SharedRuntime::idle() {
   // Exponential backoff then park -- the single-DAG engine's epoch protocol
   // (dag_executor.cpp) against lost wakeups: producers bump the epoch AFTER
   // making work visible, so either the probe below sees the work or the

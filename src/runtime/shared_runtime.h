@@ -162,7 +162,7 @@ class SharedRuntime {
   std::int64_t steal(Worker& me);
   std::int64_t take_injected();
   bool work_visible() const;
-  void idle(Worker& me);
+  void idle();
   void wake_workers();
 
   const int max_graphs_;

@@ -31,6 +31,20 @@ CscMatrix perturb_values(const CscMatrix& a, std::uint64_t seed) {
   return b;
 }
 
+/// A service running one request at a time on `threads` workers.
+ServiceOptions one_at_a_time(int threads) {
+  ServiceOptions o;
+  o.threads = threads;
+  o.max_concurrent = 1;
+  return o;
+}
+
+RequestOptions with_priority(double priority) {
+  RequestOptions o;
+  o.priority = priority;
+  return o;
+}
+
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
@@ -289,9 +303,9 @@ TEST(SolverService, PriorityOrdersPickupUnderSingleOrchestrator) {
   auto blocker = svc.submit(big, test::random_vector(big.rows(), 1));
   const CscMatrix small = test::small_matrices()[0];
   auto low = svc.submit(small, test::random_vector(small.rows(), 2),
-                        {.priority = 0.0});
+                        with_priority(0.0));
   auto high = svc.submit(small, test::random_vector(small.rows(), 3),
-                         {.priority = 5.0});
+                         with_priority(5.0));
   RequestResult rlow = low->wait();
   EXPECT_EQ(rlow.state, RequestState::kDone);
   EXPECT_TRUE(high->done());
@@ -300,7 +314,7 @@ TEST(SolverService, PriorityOrdersPickupUnderSingleOrchestrator) {
 }
 
 TEST(SolverService, FactorOnlyRequestSkipsSolve) {
-  SolverService svc({.threads = 2, .max_concurrent = 1});
+  SolverService svc(one_at_a_time(2));
   const CscMatrix a = test::small_matrices()[2];
   RequestOptions ropt;
   ropt.want_solve = false;
@@ -311,7 +325,7 @@ TEST(SolverService, FactorOnlyRequestSkipsSolve) {
 }
 
 TEST(SolverService, SubmitValidatesInput) {
-  SolverService svc({.threads = 1, .max_concurrent = 1});
+  SolverService svc(one_at_a_time(1));
   CscMatrix rect(3, 4);
   EXPECT_THROW(svc.submit(rect, {}), std::invalid_argument);
   const CscMatrix a = test::small_matrices()[0];
@@ -327,7 +341,7 @@ TEST(SolverService, SingularMatrixReportsFailedNotCrash) {
   coo.add(0, 1, 1.0);
   coo.add(1, 0, 1.0);
   coo.add(1, 1, 1.0);
-  SolverService svc({.threads = 1, .max_concurrent = 1});
+  SolverService svc(one_at_a_time(1));
   RequestResult r = svc.submit(coo.to_csc(), {1.0, 2.0})->wait();
   EXPECT_EQ(r.state, RequestState::kFailed);
   EXPECT_FALSE(r.error.empty());
@@ -339,7 +353,7 @@ TEST(SolverService, DestructorDrainsQueuedRequests) {
   std::vector<std::shared_ptr<Request>> reqs;
   const CscMatrix a = test::small_matrices()[0];
   {
-    SolverService svc({.threads = 2, .max_concurrent = 1});
+    SolverService svc(one_at_a_time(2));
     for (int i = 0; i < 5; ++i) {
       reqs.push_back(svc.submit(a, test::random_vector(a.rows(), 50 + i)));
     }
