@@ -10,11 +10,10 @@
 // order) over spin-per-flop task bodies and reports the makespan spread
 // across interleavings: how sensitive each graph's makespan is to the
 // schedule the runtime happens to pick.
-// A third table is the scheduler-implementation ablation this tier exists
-// for: the work-stealing runtime (per-worker deques, critical-path steal
-// priorities) against the central mutex/condvar queue, wall-clock, on the
-// eforest graph's spin-per-flop bodies across thread counts.  With --json
-// it appends one record per (matrix, executor, threads) cell.
+// A third table runs the work-stealing runtime itself (per-worker deques,
+// critical-path priorities), wall-clock, on the eforest graph's
+// spin-per-flop bodies across thread counts, against its own 1-thread
+// makespan.  With --json it appends one record per (matrix, threads) cell.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -48,35 +47,31 @@ double fuzzed_makespan_ms(const taskgraph::TaskGraph& g,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-// Wall-clock makespan of one NON-fuzzed execution on the selected executor,
-// same spin-per-flop bodies as fuzzed_makespan_ms.
+// Wall-clock makespan of one NON-fuzzed execution on the work-stealing
+// runtime, same spin-per-flop bodies as fuzzed_makespan_ms.
 double executor_makespan_ms(const taskgraph::TaskGraph& g,
-                            const std::vector<double>& flops, int threads,
-                            rt::ExecutorKind kind) {
+                            const std::vector<double>& flops, int threads) {
   double max_flops = 1.0;
   for (double f : flops) max_flops = std::max(max_flops, f);
   const double scale = max_flops / 4000.0;
-  rt::ExecOptions eopt;
-  eopt.kind = kind;
   auto t0 = std::chrono::steady_clock::now();
   rt::execute_task_graph(g, threads, [&](int id) {
     volatile double sink = 0.0;
     const long spins = static_cast<long>(flops[id] / scale) + 1;
     for (long s = 0; s < spins; ++s) sink = sink + static_cast<double>(s);
     (void)sink;
-  }, eopt);
+  });
   auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-void print_executor_ablation_table() {
-  std::printf("\nExecutor ablation: work-stealing vs central queue (real DAG "
-              "executor,\neforest graph, spin-per-flop bodies, best of 5 "
-              "reps)\n");
-  print_rule(74);
-  std::printf("%-10s %8s %14s %14s %10s\n", "Matrix", "threads",
-              "steal ms", "central ms", "speedup");
-  print_rule(74);
+void print_executor_scaling_table() {
+  std::printf("\nWork-stealing runtime scaling (real DAG executor, eforest "
+              "graph,\nspin-per-flop bodies, best of 5 reps)\n");
+  print_rule(58);
+  std::printf("%-10s %8s %14s %14s\n", "Matrix", "threads", "makespan ms",
+              "vs 1 thread");
+  print_rule(58);
   const int kReps = 5;
   for (const char* name : {"orsreg1", "goodwin"}) {
     NamedMatrix nm = make_named_matrix(name);
@@ -85,32 +80,27 @@ void print_executor_ablation_table() {
     Analysis an = analyze(nm.a, opt);
     double total_flops = 0.0;
     for (double f : an.costs.flops) total_flops += f;
+    double one_thread = 0.0;
     for (int threads : {1, 2, 4, 8}) {
-      double best[2] = {1e300, 1e300};
-      const rt::ExecutorKind kinds[2] = {rt::ExecutorKind::kWorkStealing,
-                                         rt::ExecutorKind::kCentralQueue};
+      double best = 1e300;
       for (int rep = 0; rep < kReps; ++rep) {
-        for (int e = 0; e < 2; ++e) {
-          best[e] = std::min(best[e], executor_makespan_ms(
-                                          an.graph, an.costs.flops, threads,
-                                          kinds[e]));
-        }
+        best = std::min(best, executor_makespan_ms(an.graph, an.costs.flops,
+                                                   threads));
       }
-      std::printf("%-10s %8d %14.2f %14.2f %9.2fx\n", name, threads, best[0],
-                  best[1], best[1] / best[0]);
-      for (int e = 0; e < 2; ++e) {
-        json_append(JsonRecord()
-                        .field("bench", "ablation_scheduler")
-                        .field("matrix", name)
-                        .field("graph", "eforest")
-                        .field("executor", rt::to_string(kinds[e]))
-                        .field("threads", threads)
-                        .field("makespan_ms", best[e])
-                        .field("gflops", total_flops / (best[e] * 1e6)));
-      }
+      if (threads == 1) one_thread = best;
+      std::printf("%-10s %8d %14.2f %13.2fx\n", name, threads, best,
+                  one_thread / best);
+      json_append(JsonRecord()
+                      .field("bench", "ablation_scheduler")
+                      .field("matrix", name)
+                      .field("graph", "eforest")
+                      .field("threads", threads)
+                      .field("makespan_ms", best)
+                      .field("speedup_vs_1t", one_thread / best)
+                      .field("gflops", total_flops / (best * 1e6)));
     }
   }
-  print_rule(74);
+  print_rule(58);
 }
 
 void print_fuzz_variance_table() {
@@ -179,7 +169,7 @@ void print_table() {
   }
   print_rule(100);
   print_fuzz_variance_table();
-  print_executor_ablation_table();
+  print_executor_scaling_table();
 }
 
 }  // namespace

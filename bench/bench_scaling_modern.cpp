@@ -1,5 +1,5 @@
 // Production-scale scaling sweep: modern workload classes at sizes where
-// per-task scheduling overhead and storage layout actually matter.
+// per-task scheduling overhead actually matters.
 //
 // Matrices (full mode):
 //   forest-102k     100 decoupled 3-D multi-physics domains -> 102,400 rows
@@ -20,9 +20,9 @@
 // which is exactly the shape the paper's eforest parallelism targets.
 //
 // For each matrix the sweep times the threaded numeric factorization over
-// threads {1,2,4,8} x coarsening {off,on} x block storage {vectors,arena}
-// with the warmup + min-of-N protocol (bench_common.h), analysis done ONCE
-// per matrix and reused by every configuration.  A refactorization record
+// threads {1,2,4,8} x coarsening {off,on} with the warmup + min-of-N
+// protocol (bench_common.h), analysis done ONCE per matrix and reused by
+// every configuration.  A refactorization record
 // (same pattern, perturbed values -- the Newton / time-stepping workload)
 // and machine-model scaling records (rt::simulate on the Origin-2000 model,
 // P = 1..8) complete the artifact.
@@ -101,56 +101,51 @@ void run(bool smoke) {
               cores < 8 ? " (wall-clock scaling limited; simulated records "
                           "carry the machine-model scaling)"
                         : "");
-  std::printf("%-15s %8s %3s %8s %8s  %10s %8s %9s\n", "matrix", "n", "P",
-              "coarsen", "storage", "factor(s)", "vs 1t", "fused");
+  std::printf("%-15s %8s %3s %8s  %10s %8s %9s\n", "matrix", "n", "P",
+              "coarsen", "factor(s)", "vs 1t", "fused");
   for (Case& c : make_cases(smoke)) {
     const Analysis an = analyze(c.a, aopt);
-    // Baseline seconds at 1 thread per (coarsen, storage) cell, for the
+    // Baseline seconds at 1 thread per coarsening setting, for the
     // within-configuration speedup column.
-    double base[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
+    double base[2] = {0.0, 0.0};
     for (int threads : {1, 2, 4, 8}) {
       for (int co = 0; co <= 1; ++co) {
-        for (int ar = 0; ar <= 1; ++ar) {
-          NumericOptions nopt;
-          nopt.mode = ExecutionMode::kThreaded;
-          nopt.threads = threads;
-          nopt.coarsen = co != 0;
-          nopt.storage = ar != 0 ? StorageMode::kArena : StorageMode::kVectors;
-          taskgraph::CoarsenStats cs;
-          std::size_t storage_bytes = 0;
-          const double secs = min_of_n_seconds(reps, [&] {
-            Factorization f(an, c.a, nopt);
-            cs = f.coarsen_stats();
-            storage_bytes = f.blocks().storage_bytes();
-          });
-          if (threads == 1) base[co][ar] = secs;
-          const double speedup = base[co][ar] / secs;
-          // One core cannot scale: record null (NaN -> null in bench_json)
-          // instead of timer noise dressed up as a speedup.
-          const double speedup_record =
-              cores > 1 ? speedup : std::numeric_limits<double>::quiet_NaN();
-          std::printf("%-15s %8d %3d %8s %8s  %10.4f %8.2f %9d\n",
-                      c.name.c_str(), c.a.rows(), threads,
-                      co ? "on" : "off", ar ? "arena" : "vectors", secs,
-                      speedup, cs.fused_groups);
-          JsonRecord rec;
-          rec.field("bench", "scaling_modern")
-              .field("matrix", c.name)
-              .field("n", c.a.rows())
-              .field("nnz", c.a.nnz())
-              .field("cores", cores)
-              .field("threads", threads)
-              .field("coarsen", co)
-              .field("storage", ar ? "arena" : "vectors")
-              .field("reps", reps)
-              .field("wall_seconds", secs)
-              .field("wall_speedup_vs_1t", speedup_record)
-              .field("tasks_before", cs.tasks_before)
-              .field("tasks_after", cs.tasks_after)
-              .field("fused_groups", cs.fused_groups)
-              .field("storage_mb", storage_bytes / 1e6);
-          json_append(rec);
-        }
+        NumericOptions nopt;
+        nopt.mode = ExecutionMode::kThreaded;
+        nopt.threads = threads;
+        nopt.coarsen = co != 0;
+        taskgraph::CoarsenStats cs;
+        std::size_t storage_bytes = 0;
+        const double secs = min_of_n_seconds(reps, [&] {
+          Factorization f(an, c.a, nopt);
+          cs = f.coarsen_stats();
+          storage_bytes = f.blocks().storage_bytes();
+        });
+        if (threads == 1) base[co] = secs;
+        const double speedup = base[co] / secs;
+        // One core cannot scale: record null (NaN -> null in bench_json)
+        // instead of timer noise dressed up as a speedup.
+        const double speedup_record =
+            cores > 1 ? speedup : std::numeric_limits<double>::quiet_NaN();
+        std::printf("%-15s %8d %3d %8s  %10.4f %8.2f %9d\n", c.name.c_str(),
+                    c.a.rows(), threads, co ? "on" : "off", secs, speedup,
+                    cs.fused_groups);
+        JsonRecord rec;
+        rec.field("bench", "scaling_modern")
+            .field("matrix", c.name)
+            .field("n", c.a.rows())
+            .field("nnz", c.a.nnz())
+            .field("cores", cores)
+            .field("threads", threads)
+            .field("coarsen", co)
+            .field("reps", reps)
+            .field("wall_seconds", secs)
+            .field("wall_speedup_vs_1t", speedup_record)
+            .field("tasks_before", cs.tasks_before)
+            .field("tasks_after", cs.tasks_after)
+            .field("fused_groups", cs.fused_groups)
+            .field("storage_mb", storage_bytes / 1e6);
+        json_append(rec);
       }
     }
     // Refactorization with perturbed values: the pattern is copied

@@ -8,9 +8,11 @@
 // buffers that only ever grow (high-water mark), so steady-state
 // factorization performs zero allocations in the kernels.
 //
-// Thread-local by design: the work-stealing executor runs each task body on
+// Thread-local by design: the work-stealing runtime runs each task body on
 // exactly one worker thread, so per-thread == per-worker and no
-// synchronization is needed.
+// synchronization is needed.  A private team's worker 0 is the calling
+// thread, so its arena carries over from call to call; the helper threads
+// are started per call and grow theirs afresh.
 #pragma once
 
 #include <cstddef>

@@ -21,10 +21,6 @@ std::size_t align_up(std::size_t doubles) {
 
 }  // namespace
 
-const char* to_string(StorageMode m) {
-  return m == StorageMode::kVectors ? "vectors" : "arena";
-}
-
 void BlockMatrix::AlignedDelete::operator()(double* p) const {
   ::operator delete[](p, std::align_val_t(kAlignBytes));
 }
@@ -52,27 +48,14 @@ std::size_t BlockMatrix::describe_column(int j,
   return static_cast<std::size_t>(off) * bs.part.width(j);
 }
 
-BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode mode,
-                         int init_threads)
-    : bs_(&bs), mode_(mode) {
+BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, int init_threads)
+    : bs_(&bs) {
   const int nb = bs.num_blocks();
   blocks_.resize(nb);
   offsets_.resize(nb);
   diag_pos_.assign(nb, -1);
   col_ptr_.assign(nb, nullptr);
   col_doubles_.assign(nb, 0);
-
-  if (mode_ == StorageMode::kVectors) {
-    data_.resize(nb);
-    for (int j = 0; j < nb; ++j) {
-      const std::size_t len = describe_column(
-          j, {bs.bpattern.col_begin(j), bs.bpattern.col_end(j)});
-      data_[j].assign(len, 0.0);
-      col_ptr_[j] = data_[j].data();
-      col_doubles_[j] = len;
-    }
-    return;
-  }
 
   // One sizing pass over the symbolic structure, then one aligned slab with
   // every column base on a 64-byte boundary.
@@ -139,15 +122,10 @@ void BlockMatrix::load(const CscMatrix& a) {
 }
 
 void BlockMatrix::set_zero() {
-  if (mode_ == StorageMode::kArena) {
-    std::fill(arena_.get(), arena_.get() + arena_doubles_, 0.0);
-    return;
-  }
-  for (std::vector<double>& col : data_) std::fill(col.begin(), col.end(), 0.0);
+  std::fill(arena_.get(), arena_.get() + arena_doubles_, 0.0);
 }
 
 std::size_t BlockMatrix::storage_bytes() const {
-  if (mode_ == StorageMode::kVectors) return stored_doubles() * sizeof(double);
   return arena_doubles_ * sizeof(double);
 }
 

@@ -522,7 +522,6 @@ void execute(NumericRun& run, const NumericOptions& opt,
                                        run_group);
         } else {
           rt::ExecOptions eopt;
-          eopt.kind = opt.executor;
           eopt.cancel = token;
           eopt.shared = opt.shared_runtime;
           eopt.request_priority = opt.request_priority;
@@ -539,7 +538,6 @@ void execute(NumericRun& run, const NumericOptions& opt,
                                             polled);
       } else {
         rt::ExecOptions eopt;
-        eopt.kind = opt.executor;
         eopt.cancel = token;
         eopt.shared = opt.shared_runtime;
         eopt.request_priority = opt.request_priority;

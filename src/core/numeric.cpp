@@ -57,7 +57,7 @@ double max_abs_and_finite(const double* x, std::size_t n, bool& finite) {
 Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
                              const NumericOptions& opt)
     : analysis_(&analysis),
-      blocks_(analysis.blocks, opt.storage,
+      blocks_(analysis.blocks,
               opt.mode == ExecutionMode::kThreaded ? opt.threads : 1),
       layout_(analysis.options.layout) {
   if (layout_ == Layout::k2D && task_graph().size() == 0 &&

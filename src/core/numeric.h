@@ -52,7 +52,8 @@ namespace plu {
 enum class ExecutionMode {
   kSequential,       // right-looking loop, no task graph involved
   kGraphSequential,  // single thread, tasks in a topological order of the graph
-  kThreaded,         // DAG executor on a thread pool
+  kThreaded,         // task graph on the work-stealing runtime (a private
+                     // team per call, or NumericOptions::shared_runtime)
 };
 
 /// Structure-aware blocking (symbolic/repartition.h).  kAuto consumes
@@ -69,17 +70,12 @@ const char* to_string(BlockingMode m);
 struct NumericOptions {
   ExecutionMode mode = ExecutionMode::kSequential;
   int threads = 4;
-  /// Which threaded executor runs the task graph under kThreaded (ignored
-  /// by the other modes and by fuzz_schedule): the work-stealing runtime
-  /// with critical-path priorities, or the central mutex/condvar queue kept
-  /// as the scheduler-ablation baseline (rt::ExecutorKind).
-  rt::ExecutorKind executor = rt::ExecutorKind::kWorkStealing;
   /// Run the kThreaded task graph on this persistent multi-DAG pool
   /// (runtime/shared_runtime.h) instead of a private worker team, so
   /// factorizations of DIFFERENT matrices -- distinct Factorization /
   /// SparseLU instances, or solver-service requests -- interleave on one
-  /// set of workers.  `threads` and `executor` are then ignored.  The pool
-  /// must outlive the factorize call; non-owning.
+  /// set of workers.  `threads` is then ignored.  The pool must outlive the
+  /// factorize call; non-owning.
   rt::SharedRuntime* shared_runtime = nullptr;
   /// Per-request priority fold for the shared pool
   /// (rt::ExecOptions::request_priority); ignored without shared_runtime.
@@ -142,10 +138,6 @@ struct NumericOptions {
   /// Explicit fusion threshold in flops; <= 0 selects the adaptive one
   /// (min(total/(threads * 48), half the critical path)).
   double coarsen_threshold_flops = 0.0;
-  /// Block storage backing (core/block_storage.h): one contiguous 64-byte
-  /// aligned arena (default) or the per-column vector layout kept as the
-  /// storage-ablation baseline.  Values are bitwise identical either way.
-  StorageMode storage = StorageMode::kArena;
   /// Structure-aware blocking plan consumption (see BlockingMode).  kAuto
   /// is the default and bitwise-safe; set kOff to run the legacy per-block
   /// path (the `--blocking off` ablation arm).
@@ -169,8 +161,8 @@ class Factorization {
 
   /// Refactorizes new values of the analyzed pattern on the zeroed, reused
   /// block storage; every per-run result is recomputed and the factors are
-  /// bitwise those of a fresh Factorization.  `opt.storage` is ignored.  If
-  /// this throws, the values are unspecified: discard the object.
+  /// bitwise those of a fresh Factorization.  If this throws, the values
+  /// are unspecified: discard the object.
   void refactor(const CscMatrix& a, const NumericOptions& opt = {});
 
   const Analysis& analysis() const { return *analysis_; }

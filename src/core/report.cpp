@@ -74,7 +74,6 @@ FactorizationReport report(const Factorization& f) {
   r.lazy_skipped_updates = f.lazy_skipped_updates();
   r.stored_doubles = f.blocks().stored_doubles();
   r.storage_bytes = f.blocks().storage_bytes();
-  r.storage_mode = to_string(f.blocks().storage_mode());
   r.coarsen = f.coarsen_stats();
   r.blocking_plan = f.analysis().block_plan.summary;
   r.blocking = f.blocking_stats();
@@ -120,7 +119,7 @@ std::string to_string(const FactorizationReport& r) {
      << " lazy-skipped update(s), min pivot ratio " << r.min_pivot_ratio
      << ", growth factor " << r.growth_factor << ", "
      << 8.0 * r.stored_doubles / 1e6 << " MB factor values ("
-     << r.storage_bytes / 1e6 << " MB peak " << r.storage_mode << " storage)";
+     << r.storage_bytes / 1e6 << " MB peak arena)";
   if (r.coarsen.ran) {
     os << "\ncoarsening:  " << r.coarsen.tasks_before << " -> "
        << r.coarsen.tasks_after << " task(s), " << r.coarsen.edges_before

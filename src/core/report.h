@@ -59,11 +59,9 @@ struct FactorizationReport {
   double perturbation_magnitude = 0.0;
   std::vector<int> perturbed_columns;
   std::size_t stored_doubles = 0;
-  /// Peak block-storage footprint in bytes (arena / segment capacity
-  /// including alignment padding; vector sums in kVectors mode) and the
-  /// storage mode that produced it.
+  /// Peak block-storage footprint in bytes (arena capacity including
+  /// alignment padding).
   std::size_t storage_bytes = 0;
-  std::string storage_mode;
   /// Task-graph coarsening summary (ran == false when coarsening was off or
   /// not applicable): node/edge counts before and after contraction.
   taskgraph::CoarsenStats coarsen;

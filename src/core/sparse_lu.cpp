@@ -48,8 +48,7 @@ void SparseLU::factorize(const CscMatrix& a) {
   if (!pattern_matches(a)) analyze(a);
   parallel_solver_.reset();  // its row maps fold in the old pivots
   try {
-    if (factorization_ &&
-        factorization_->blocks().storage_mode() == numeric_options_.storage) {
+    if (factorization_) {
       // analyze() drops the factorization, so this one is on the current
       // analysis: refactorize in place on its slab.
       factorization_->refactor(a, numeric_options_);

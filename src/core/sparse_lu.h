@@ -46,11 +46,10 @@ class SparseLU {
   void analyze(const CscMatrix& a);
 
   /// Numeric factorization; runs analyze() first when none is cached.
-  /// With the pattern unchanged and the same NumericOptions::storage, the
-  /// existing factorization is refactorized in place on its slab
-  /// (Factorization::refactor): a reference from factorization() stays
-  /// valid and sees the new values.  A re-analysis or a storage switch
-  /// builds a new one (old references dangle).  If it throws, no
+  /// With the pattern unchanged, the existing factorization is
+  /// refactorized in place on its slab (Factorization::refactor): a
+  /// reference from factorization() stays valid and sees the new values.
+  /// A re-analysis builds a new one (old references dangle).  If it throws, no
   /// factorization is kept: factorized() is false and solves throw.
   void factorize(const CscMatrix& a);
 

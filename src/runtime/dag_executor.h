@@ -10,22 +10,15 @@
 // synchronization is required beyond what the numeric layer chooses to
 // take.
 //
-// Two executors are kept runtime-selectable (ExecOptions::kind) so the
-// scheduler ablation can measure one against the other:
-//
-//   kWorkStealing (default): per-worker Chase-Lev deques
-//     (runtime/work_steal_deque.h).  A worker pushes the successors it
-//     releases onto its own deque in ascending priority order and pops LIFO,
-//     so it dives depth-first along the most critical chain it just enabled;
-//     idle workers steal FIFO from a randomized victim, preferring -- by
-//     two-choice top-task comparison -- the victim whose oldest task has the
-//     higher critical-path priority.  Priorities are the classic bottom
-//     levels (weighted longest path to a sink) over the per-task flop
-//     estimates taskgraph::build annotates; idle workers spin with
-//     exponential backoff before parking on a condvar.
-//
-//   kCentralQueue: the original single mutex/condvar FIFO queue
-//     (runtime/thread_pool.h), preserved as the ablation baseline.
+// Every threaded run executes on the work-stealing runtime
+// (runtime/shared_runtime.h): per-worker Chase-Lev deques, successors pushed
+// in ascending critical-path priority and popped LIFO, randomized FIFO
+// steals, exponential backoff before parking.  Without ExecOptions::shared
+// a run gets a private team for the call -- the calling thread is worker 0
+// and no thread outlives the call; with it, the graph joins a persistent
+// multi-DAG pool.  The fuzzed executors below are the schedule-perturbing
+// reference of the race harness, and execute_sequential the one-thread
+// reference.
 #pragma once
 
 #include <atomic>
@@ -62,25 +55,16 @@ struct ExecutionReport {
                            // worker exception, which cancels before rethrow)
 };
 
-enum class ExecutorKind {
-  kWorkStealing,  // Chase-Lev deques + critical-path steal preference
-  kCentralQueue,  // single mutex/condvar FIFO queue (ablation baseline)
-};
-
-const char* to_string(ExecutorKind k);
-
 class SharedRuntime;  // runtime/shared_runtime.h: persistent multi-DAG pool
 
-/// Tuning and policy knobs for the non-fuzzed executors.
+/// Policy knobs for execute_dag / execute_task_graph.
 struct ExecOptions {
-  ExecutorKind kind = ExecutorKind::kWorkStealing;
   /// When set, the graph is NOT run on a private worker team: it is
   /// submitted to this persistent multi-DAG runtime and the calling thread
   /// blocks until it completes, so DAGs from concurrent callers interleave
-  /// on one shared pool (the solver-service path).  `num_threads` and
-  /// `kind` are ignored -- the pool's size and work-stealing discipline
-  /// apply; priorities, cancellation and the rethrow-on-caller exception
-  /// contract carry over unchanged.
+  /// on one shared pool (the solver-service path).  `num_threads` is
+  /// ignored -- the pool's size applies; priorities, cancellation and the
+  /// rethrow-on-caller exception contract carry over unchanged.
   SharedRuntime* shared = nullptr;
   /// Per-request priority fold for the shared runtime: added to this
   /// graph's normalized critical-path priorities, so a caller can bias the
@@ -90,9 +74,6 @@ struct ExecOptions {
   /// When empty, execute_task_graph derives critical-path bottom levels
   /// from the graph's flop annotations; execute_dag treats all tasks equal.
   const std::vector<double>* priorities = nullptr;
-  /// Bound on the exponential backoff an idle worker spins through before
-  /// parking on the condvar (iterations of the final spin round).
-  int max_spin = 256;
   /// Optional cooperative cancellation: when the token is cancelled the
   /// executor stops releasing dependences and drains queued tasks without
   /// running them (ExecutionReport::cancelled).  A worker exception cancels
@@ -115,14 +96,15 @@ struct FuzzOptions {
   CancelToken* cancel = nullptr;
 };
 
-/// Executes the graph on `num_threads` threads, invoking run(task_id) for
-/// each task after all its predecessors finished.  Uses the work-stealing
-/// executor with critical-path priorities from the graph's flop annotations
-/// unless `opt` says otherwise.
+/// Executes the graph on `num_threads` threads (the caller plus
+/// `num_threads - 1` helpers started for the call), invoking run(task_id)
+/// for each task after all its predecessors finished.  Critical-path
+/// priorities come from the graph's flop annotations unless `opt` supplies
+/// them.
 ///
 /// Worker-exception safety: if run(id) throws, the exception is captured
 /// via std::exception_ptr, the execution is cancelled (queued tasks drain
-/// without running, dependences stop being released), the worker threads
+/// without running, dependences stop being released), the helper threads
 /// are joined, and the exception is RETHROWN on the calling thread -- never
 /// std::terminate.  When several in-flight tasks throw, the exception of
 /// the lowest task id among those that actually ran wins, so a single

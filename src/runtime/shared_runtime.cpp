@@ -14,14 +14,28 @@ inline void cpu_relax() {
 #endif
 }
 
+/// Pause iterations of the final backoff round before an idle worker parks.
 constexpr int kMaxSpin = 256;
+
+/// Run::state_ fields: one ran task in the high word, and the low word of
+/// queued-or-running tasks.
+constexpr std::int64_t kRanOne = std::int64_t(1) << 32;
+constexpr std::int64_t kOutstandingMask = kRanOne - 1;
 
 }  // namespace
 
 ExecutionReport SharedRuntime::Run::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return finished_; });
-  if (error_) std::rethrow_exception(error_);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return finished_; });
+    // Taken, not copied, so the exception is freed on this thread: the Run
+    // itself may be destroyed on a worker, and the exception's reference
+    // count lives in the C++ runtime, where ThreadSanitizer cannot see it
+    // order the two releases.
+    error = std::move(error_);
+  }
+  if (error) std::rethrow_exception(error);
   return report_;
 }
 
@@ -31,7 +45,12 @@ bool SharedRuntime::Run::done() const {
 }
 
 SharedRuntime::SharedRuntime(int threads, int max_graphs)
-    : max_graphs_(std::max(1, max_graphs)) {
+    : SharedRuntime(threads, max_graphs, /*private_team=*/false) {
+  start_threads(0);
+}
+
+SharedRuntime::SharedRuntime(int threads, int max_graphs, bool private_team)
+    : max_graphs_(std::max(1, max_graphs)), private_team_(private_team) {
   slots_ = std::make_unique<std::atomic<Run*>[]>(max_graphs_);
   for (int s = 0; s < max_graphs_; ++s) {
     slots_[s].store(nullptr, std::memory_order_relaxed);
@@ -45,7 +64,10 @@ SharedRuntime::SharedRuntime(int threads, int max_graphs)
     workers_.push_back(std::make_unique<Worker>(
         t, 0x9E3779B97F4A7C15ull ^ (static_cast<std::uint64_t>(t) + 1)));
   }
-  for (int t = 0; t < w; ++t) {
+}
+
+void SharedRuntime::start_threads(int from) {
+  for (int t = from; t < threads(); ++t) {
     workers_[t]->thread = std::thread([this, t] { worker_loop(t); });
   }
 }
@@ -55,15 +77,20 @@ SharedRuntime::~SharedRuntime() {
     std::unique_lock<std::mutex> lock(reg_mu_);
     drain_cv_.wait(lock, [&] { return active_ == 0; });
   }
-  shutdown_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_all();
+  stop_workers();
+  for (auto& w : workers_) {
+    if (w->thread.joinable()) w->thread.join();
   }
-  for (auto& w : workers_) w->thread.join();
 }
 
-std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
+void SharedRuntime::stop_workers() {
+  shutdown_.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(park_mu_);
+  park_cv_.notify_all();
+}
+
+std::shared_ptr<SharedRuntime::Run> SharedRuntime::prepare(
+    GraphSpec& spec, std::vector<int>& roots) {
   auto run = std::shared_ptr<Run>(new Run());
   const int n = static_cast<int>(spec.succ->size());
   run->succ_ = spec.succ;
@@ -71,8 +98,6 @@ std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
   run->cancel_ = spec.cancel ? spec.cancel : &run->own_cancel_;
   run->n_ = n;
 
-  // Degenerate graphs never touch the pool: report immediately.
-  std::vector<int> roots;
   if (n > 0) {
     run->indeg_ = std::vector<std::atomic<int>>(n);
     for (int v = 0; v < n; ++v) {
@@ -80,8 +105,8 @@ std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
       if ((*spec.indegree)[v] == 0) roots.push_back(v);
     }
   }
-  if (n == 0 || roots.empty()) {
-    std::lock_guard<std::mutex> lock(run->mu_);
+  // Degenerate graphs never touch the workers: report immediately.
+  if (roots.empty()) {
     run->finished_ = true;
     run->report_.completed = n == 0;  // fully cyclic: nothing ever runs
     graphs_completed_.fetch_add(1, std::memory_order_relaxed);
@@ -101,16 +126,12 @@ std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
   } else if (spec.boost != 0.0) {
     run->prio_.assign(n, spec.boost);
   }
-  run->outstanding_.store(static_cast<long>(roots.size()),
-                          std::memory_order_relaxed);
+  run->state_.store(static_cast<std::int64_t>(roots.size()),
+                    std::memory_order_relaxed);
+  return run;
+}
 
-  // Inject the roots FIFO, most critical first within this graph.
-  if (!run->prio_.empty()) {
-    std::stable_sort(roots.begin(), roots.end(), [&](int a, int b) {
-      return run->prio_[a] > run->prio_[b];
-    });
-  }
-  // Claim a slot (blocking = admission backpressure) and publish the run.
+int SharedRuntime::publish(const std::shared_ptr<Run>& run) {
   int slot;
   {
     std::unique_lock<std::mutex> lock(reg_mu_);
@@ -122,6 +143,20 @@ std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
   }
   run->slot_ = slot;
   slots_[slot].store(run.get(), std::memory_order_release);
+  return slot;
+}
+
+std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
+  std::vector<int> roots;
+  std::shared_ptr<Run> run = prepare(spec, roots);
+  if (run->finished_) return run;
+  // Inject the roots FIFO, most critical first within this graph.
+  if (!run->prio_.empty()) {
+    std::stable_sort(roots.begin(), roots.end(), [&](int a, int b) {
+      return run->prio_[a] > run->prio_[b];
+    });
+  }
+  const int slot = publish(run);  // blocking = admission backpressure
   {
     std::lock_guard<std::mutex> lock(inject_mu_);
     for (int v : roots) inject_.push_back(pack(slot, v));
@@ -130,6 +165,30 @@ std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
   }
   wake_workers();
   return run;
+}
+
+ExecutionReport SharedRuntime::run_private(int threads, GraphSpec spec) {
+  SharedRuntime team(threads, /*max_graphs=*/1, /*private_team=*/true);
+  std::vector<int> roots;
+  std::shared_ptr<Run> run = team.prepare(spec, roots);
+  if (run->finished_) return run->wait();
+  // Deal the roots round-robin for initial balance, swept in ascending
+  // priority so each worker's LAST push -- the first it pops -- is its most
+  // critical root.  No helper runs yet, so the caller may push into every
+  // deque; starting the threads publishes the pushes to their owners.
+  if (!run->prio_.empty()) {
+    std::stable_sort(roots.begin(), roots.end(), [&](int a, int b) {
+      return run->prio_[a] < run->prio_[b];
+    });
+  }
+  const int slot = team.publish(run);
+  const int w = team.threads();
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    team.workers_[i % w]->deque.push(pack(slot, roots[i]));
+  }
+  team.start_threads(1);
+  team.worker_loop(0);  // returns once the graph retired (finish_run)
+  return run->wait();   // the destructor joins the helpers
 }
 
 void SharedRuntime::wake_workers() {
@@ -158,13 +217,16 @@ void SharedRuntime::worker_loop(int tid) {
 void SharedRuntime::run_item(Worker& me, std::int64_t item) {
   const int slot = static_cast<int>(item >> 32);
   const int id = static_cast<int>(item & 0xFFFFFFFFll);
-  // The item holds its graph live (outstanding_ > 0 until we decrement
+  // The item holds its graph live (outstanding > 0 until we decrement
   // below), so this dereference can never see a retired slot.
   Run* r = slots_[slot].load(std::memory_order_acquire);
+  // Cooperative cancellation: once the token trips, queued tasks DRAIN here
+  // -- no run, no dependence release -- so outstanding still reaches zero.
+  bool ran = false;
   if (!r->cancel_->cancelled()) {
     try {
       r->body_(id);
-      r->done_count_.fetch_add(1, std::memory_order_relaxed);
+      ran = true;
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(r->err_mu_);
@@ -176,9 +238,9 @@ void SharedRuntime::run_item(Worker& me, std::int64_t item) {
       r->cancel_->cancel();
     }
   }
-  // Release/drain, same memory-order story as the single-DAG engine: the
-  // acq_rel fetch_sub publishes this task's writes to whichever worker
-  // drops the successor's counter to zero.
+  // Lock-free release: the release half of the acq_rel fetch_sub publishes
+  // every write this task made; the worker that drops a successor's counter
+  // to zero acquires them all (dag_executor.h, DESIGN.md).
   me.ready.clear();
   if (!r->cancel_->cancelled()) {
     for (int s : (*r->succ_)[id]) {
@@ -187,31 +249,37 @@ void SharedRuntime::run_item(Worker& me, std::int64_t item) {
       }
     }
   }
+  if (me.ready.size() > 1 && !r->prio_.empty()) {
+    // Ascending priority: the most critical successor is pushed last and
+    // popped first -- the worker dives along this graph's critical path.
+    std::stable_sort(me.ready.begin(), me.ready.end(), [&](int a, int b) {
+      return r->prio_[a] < r->prio_[b];
+    });
+  }
+  // One update per task: this task leaves the outstanding count, its
+  // released successors join it, and a task that ran is counted.  It lands
+  // BEFORE the successors are pushed, so the count only reaches zero when
+  // nothing of the graph is queued anywhere or in flight (also the
+  // cyclic-remainder exit), and `r` is not touched after it.
+  const std::int64_t delta = (ran ? kRanOne : 0) +
+                             static_cast<std::int64_t>(me.ready.size()) - 1;
+  const std::int64_t after =
+      r->state_.fetch_add(delta, std::memory_order_acq_rel) + delta;
   if (!me.ready.empty()) {
-    if (!r->prio_.empty()) {
-      // Ascending priority: the most critical successor is pushed last and
-      // popped first -- the worker dives along this graph's critical path.
-      std::stable_sort(me.ready.begin(), me.ready.end(), [&](int a, int b) {
-        return r->prio_[a] < r->prio_[b];
-      });
-    }
-    r->outstanding_.fetch_add(static_cast<long>(me.ready.size()),
-                              std::memory_order_relaxed);
     for (int s : me.ready) me.deque.push(pack(slot, s));
     wake_workers();
-  }
-  if (r->outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    finish_run(r);
+  } else if ((after & kOutstandingMask) == 0) {
+    finish_run(r, static_cast<long>(after >> 32));
   }
 }
 
-void SharedRuntime::finish_run(Run* r) {
-  // outstanding_ hit zero: no item for this graph exists in any deque or in
+void SharedRuntime::finish_run(Run* r, long tasks_run) {
+  // Outstanding hit zero: no item for this graph exists in any deque or in
   // the injection queue, so the slot can be recycled.  Keep a strong ref
   // across the teardown -- dropping owners_[slot] must not free `r` while
   // this worker still touches it.
   ExecutionReport rep;
-  rep.tasks_run = r->done_count_.load(std::memory_order_relaxed);
+  rep.tasks_run = tasks_run;
   rep.cancelled = r->cancel_->cancelled();
   rep.completed = rep.tasks_run == r->n_;
   std::shared_ptr<Run> self;
@@ -231,6 +299,8 @@ void SharedRuntime::finish_run(Run* r) {
     r->finished_ = true;
   }
   r->cv_.notify_all();
+  // A private team runs exactly one graph: its retirement ends the team.
+  if (private_team_) stop_workers();
 }
 
 std::int64_t SharedRuntime::steal(Worker& me) {
@@ -277,16 +347,18 @@ bool SharedRuntime::work_visible() const {
 }
 
 void SharedRuntime::idle() {
-  // Exponential backoff then park -- the single-DAG engine's epoch protocol
-  // (dag_executor.cpp) against lost wakeups: producers bump the epoch AFTER
-  // making work visible, so either the probe below sees the work or the
-  // epoch predicate is already true at the wait.
+  // Exponential backoff: spin rounds of 1, 2, 4, ..., kMaxSpin pause
+  // iterations, re-probing between rounds; yield each round so on an
+  // oversubscribed core the worker actually holding work gets to run.
   for (int spins = 1; spins <= kMaxSpin; spins *= 2) {
     if (shutdown_.load(std::memory_order_acquire)) return;
     for (int i = 0; i < spins; ++i) cpu_relax();
     if (work_visible()) return;
     std::this_thread::yield();
   }
+  // Park.  Epoch protocol against lost wakeups: producers bump the epoch
+  // AFTER making work visible, so either the probe below sees the work or
+  // the epoch predicate is already true at the wait.
   const std::uint64_t epoch = wake_epoch_.load(std::memory_order_seq_cst);
   if (work_visible() || shutdown_.load(std::memory_order_acquire)) return;
   sleepers_.fetch_add(1, std::memory_order_seq_cst);

@@ -1,47 +1,58 @@
-// A persistent work-stealing pool that executes MANY task dependence graphs
-// concurrently -- the multi-DAG runtime under the solver service
-// (src/service/solver_service.h).
+// The work-stealing runtime: the one engine that executes task dependence
+// graphs on threads (runtime/dag_executor.h routes every threaded run here).
 //
-// The single-DAG executors in runtime/dag_executor.h spin a fresh worker
-// team per execute() call, which is right for one factorization but wrong
-// for a server: N in-flight requests would run N uncoordinated teams,
-// oversubscribing the machine and giving the OS scheduler -- not the
-// critical-path priorities -- the final say.  SharedRuntime keeps ONE team
-// alive for the process and lets any thread submit() a DAG; tasks from all
-// active graphs interleave freely on the same Chase-Lev deques
-// (runtime/work_steal_deque.h), so a wide graph soaks up workers a narrow
-// graph cannot use and a small request's tasks are stolen out from under a
-// big one instead of waiting behind it.
+// It runs in two shapes, with the same per-task path:
+//
+//   Persistent pool.  A SharedRuntime object keeps ONE team alive and lets
+//   any thread submit() a DAG; tasks from all active graphs interleave on
+//   the same Chase-Lev deques (runtime/work_steal_deque.h), so a wide graph
+//   soaks up workers a narrow graph cannot use and a small request's tasks
+//   are stolen out from under a big one instead of waiting behind it.  This
+//   is the solver service's runtime (src/service/solver_service.h): N
+//   in-flight requests share one team instead of oversubscribing the machine
+//   with N.
+//
+//   Private team (run_private).  One graph on a team that exists only for
+//   the call: the calling thread is worker 0, the graph's roots are dealt
+//   round-robin into the workers' deques before the helper threads start,
+//   and the helpers are joined before the call returns -- no thread outlives
+//   the call.  This is what execute_dag/execute_task_graph use without
+//   ExecOptions::shared.
 //
 // Scheduling.  Each deque item packs (graph slot, task id) into 64 bits.  A
 // worker that releases successors pushes them onto its OWN deque in
-// ascending priority order and pops LIFO -- the same critical-path diving as
-// the single-DAG engine.  Per-graph priorities are NORMALIZED bottom levels
-// (divided by the graph's maximum) plus the submitter's per-request boost,
-// so a huge matrix's raw flop counts cannot drown out a small request's
-// critical path: across graphs, priorities compare on [boost, boost + 1]
-// regardless of problem size (the fair-share half of the scheme; admission
-// fairness lives in the service's orchestrator lanes).  New graphs enter
-// through a FIFO injection queue that idle workers drain after their own
-// deque and steals come up empty, so submission order is respected across
-// requests of equal standing.  Steals pick two random victims plus a full
-// sweep; unlike the single-DAG engine there is NO priority peek -- a peeked
-// item may belong to a graph that completed (and was freed) between the
-// peek and the priority lookup, and the hint is not worth a lifetime rule.
+// ascending priority order and pops LIFO, so it dives depth-first along the
+// most critical chain it just enabled.  Per-graph priorities are NORMALIZED
+// bottom levels (divided by the graph's maximum) plus the submitter's
+// per-request boost, so a huge matrix's raw flop counts cannot drown out a
+// small request's critical path: across graphs, priorities compare on
+// [boost, boost + 1] regardless of problem size (the fair-share half of the
+// scheme; admission fairness lives in the service's orchestrator lanes).
+// Graphs submitted to a persistent pool enter through a FIFO injection
+// queue that idle workers drain after their own deque and steals come up
+// empty, so submission order is respected across requests of equal
+// standing.  Steals pick two random victims plus a full sweep, with NO
+// priority peek: a peeked item may belong to a graph that completed (and
+// was freed) between the peek and the priority lookup, and the hint is not
+// worth a lifetime rule.  Idle workers spin with exponential backoff, then
+// park on a condvar (epoch protocol against lost wakeups).
 //
-// Lifetime of a graph.  `outstanding` counts a graph's queued-or-running
-// tasks; items only exist in deques while outstanding > 0, and the worker
-// that drops it to zero retires the graph (fills the report, wakes waiters,
-// frees the slot).  Dereferencing a popped item is therefore always safe:
-// the item itself holds the graph live.
+// Lifetime of a graph.  Its state word counts queued-or-running tasks
+// (`outstanding`); items only exist in deques while outstanding > 0, and
+// the worker that drops it to zero retires the graph (fills the report,
+// wakes waiters, frees the slot).  Dereferencing a popped item is therefore
+// always safe: the item itself holds the graph live.
 //
-// Cancellation and errors keep the dag_executor.h contract: a cancelled
-// token makes queued tasks drain unrun, a throwing task cancels its OWN
-// graph only (other graphs are untouched) and the exception is rethrown on
-// the thread that calls Run::wait().  Task bodies must never block on the
-// runtime that is executing them (no nested submit-and-wait from a task).
+// Cancellation and errors (the dag_executor.h contract): a cancelled token
+// makes queued tasks drain unrun, a throwing task cancels its OWN graph only
+// (other graphs are untouched) and the exception of the lowest task id that
+// threw is rethrown on the thread that waits for the graph.  A graph that
+// is cyclic runs its acyclic prefix once and reports completed == false.
+// Task bodies must never block on the runtime that is executing them (no
+// nested submit-and-wait from a task).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -80,7 +91,8 @@ class SharedRuntime {
    public:
     /// Blocks until the graph completed, drained after cancellation, or
     /// stalled on a cycle.  Rethrows the first worker exception (lowest
-    /// task id wins), matching execute_task_graph.
+    /// task id wins), matching execute_task_graph; the exception goes to
+    /// the first caller, a later wait() only returns the report.
     ExecutionReport wait();
     bool done() const;
 
@@ -88,6 +100,7 @@ class SharedRuntime {
     friend class SharedRuntime;
     Run() = default;
 
+    // Read by every task of the graph; written only before it is published.
     const std::vector<std::vector<int>>* succ_ = nullptr;
     std::function<void(int)> body_;
     std::vector<double> prio_;  // normalized + boosted; empty = unordered
@@ -96,10 +109,14 @@ class SharedRuntime {
     CancelToken* cancel_ = nullptr;
     int n_ = 0;
     int slot_ = -1;
-    std::atomic<long> outstanding_{0};
-    std::atomic<long> done_count_{0};
 
-    std::mutex err_mu_;
+    // The one word every task updates, once (run_item): tasks queued or
+    // running in the low 32 bits, tasks that ran in the high 32 bits.  Kept
+    // off the read-mostly line above so the counter traffic does not evict
+    // the fields every task reads.
+    alignas(64) std::atomic<std::int64_t> state_{0};
+
+    alignas(64) std::mutex err_mu_;
     int err_task_ = 0;
     std::exception_ptr error_;
 
@@ -131,7 +148,18 @@ class SharedRuntime {
   /// routes through when ExecOptions::shared is set.
   ExecutionReport run_graph(GraphSpec spec) { return submit(std::move(spec))->wait(); }
 
+  /// Runs one graph on a private team of `threads` workers (min 1) that
+  /// exists only for this call: the calling thread is worker 0, the roots
+  /// are dealt into the workers' deques up front, and the `threads - 1`
+  /// helper threads are joined before this returns.  Same report, priority
+  /// and exception contract as run_graph.
+  static ExecutionReport run_private(int threads, GraphSpec spec);
+
  private:
+  /// A private team starts no thread here: worker 0 is the caller, and
+  /// run_private starts the helpers once the roots are dealt.
+  SharedRuntime(int threads, int max_graphs, bool private_team);
+
   struct alignas(64) Worker {
     Worker(int id_, std::uint64_t seed) : id(id_), rng_state(seed) {}
     const int id;
@@ -156,16 +184,24 @@ class SharedRuntime {
     return x * 0x2545F4914F6CDD1Dull;
   }
 
+  /// Builds the Run and its roots; a graph with nothing to run (empty or
+  /// fully cyclic) comes back already finished.
+  std::shared_ptr<Run> prepare(GraphSpec& spec, std::vector<int>& roots);
+  /// Claims a slot for `run` (blocking while all are taken) and publishes it.
+  int publish(const std::shared_ptr<Run>& run);
+  void start_threads(int from);
   void worker_loop(int tid);
   void run_item(Worker& me, std::int64_t item);
-  void finish_run(Run* r);
+  void finish_run(Run* r, long tasks_run);
   std::int64_t steal(Worker& me);
   std::int64_t take_injected();
   bool work_visible() const;
   void idle();
   void wake_workers();
+  void stop_workers();
 
   const int max_graphs_;
+  const bool private_team_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   // Slot table: workers dereference slots_[item.slot] lock-free; ownership
@@ -178,17 +214,19 @@ class SharedRuntime {
   std::vector<int> free_slots_;
   int active_ = 0;
 
-  // FIFO injection queue: roots of newly submitted graphs (workers own
-  // their deques, so a submitter cannot push into them directly).
+  // FIFO injection queue: roots of graphs submitted to a persistent pool
+  // (workers own their deques, so a submitter cannot push into them).
   std::mutex inject_mu_;
   std::deque<std::int64_t> inject_;
   std::atomic<long> inject_count_{0};
 
-  // Park/wake protocol, same epoch scheme as the single-DAG engine.
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> wake_epoch_{0};
+
+  // Park/wake protocol (idle()).  The epoch is bumped on every release, so
+  // it gets a line of its own, away from the flags idle workers poll.
+  alignas(64) std::atomic<std::uint64_t> wake_epoch_{0};
   std::atomic<int> sleepers_{0};
-  std::mutex park_mu_;
+  alignas(64) std::mutex park_mu_;
   std::condition_variable park_cv_;
 
   std::atomic<long> graphs_completed_{0};

@@ -1,5 +1,5 @@
-// Chase-Lev work-stealing deque of task ids (the per-worker ready queue of
-// the work-stealing DAG executor, runtime/dag_executor.cpp).
+// Chase-Lev work-stealing deque of task handles (the per-worker ready queue
+// of the work-stealing runtime, runtime/shared_runtime.cpp).
 //
 // One OWNER thread pushes and pops at the bottom (LIFO, so a worker dives
 // depth-first along the dependence chain it just released -- cache-warm and,
@@ -34,8 +34,7 @@
 
 namespace plu::rt {
 
-/// The deque is generic over the (signed integral) item type: the single-DAG
-/// executor queues plain task ids (int), while the shared multi-DAG runtime
+/// The deque is generic over the (signed integral) item type; the runtime
 /// (runtime/shared_runtime.h) queues 64-bit handles packing (graph slot,
 /// task id).  Valid items must be >= 0 -- the negative range is reserved for
 /// kEmpty / kAbort.
@@ -107,10 +106,9 @@ class BasicWorkStealDeque {
     return v;
   }
 
-  /// Racy hint: the task id a steal() would currently take (kEmpty if the
-  /// deque looks empty).  Used for two-choice victim selection -- the value
-  /// may be stale by the time the steal lands, which only mis-prioritizes,
-  /// never mis-executes.
+  /// Racy hint: the item a steal() would currently take (kEmpty if the
+  /// deque looks empty).  The value may be stale by the time a steal lands,
+  /// so it can only guide a choice, never stand in for the steal.
   T peek_top() const {
     const std::int64_t t = top_.load(std::memory_order_acquire);
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
@@ -155,9 +153,7 @@ class BasicWorkStealDeque {
   std::vector<std::unique_ptr<Ring>> rings_;  // owner-only; keeps retired rings alive
 };
 
-/// Task-id deque of the single-DAG work-stealing executor.
-using WorkStealDeque = BasicWorkStealDeque<int>;
-/// Packed-handle deque of the shared multi-DAG runtime.
+/// Packed-handle deque of the work-stealing runtime.
 using WorkStealDeque64 = BasicWorkStealDeque<std::int64_t>;
 
 }  // namespace plu::rt

@@ -3,7 +3,7 @@
 // (deque traffic, indegree cache lines, steal attempts) is paid once per
 // subtree instead of once per kernel call.  This is what makes many small
 // independent trees -- the shape production circuit / multi-physics
-// matrices produce -- actually scale on a thread pool.
+// matrices produce -- actually scale on the work-stealing runtime.
 //
 // Grouping rule.  Stage weights w(s) = flops of Factor(s)/FactorDiag(s)
 // plus every task with source stage s; subtree weights are accumulated up

@@ -138,27 +138,12 @@ TEST(BlockMatrix, SetZeroClearsEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena storage (StorageMode::kArena) vs the per-column-vector baseline.
-
-TEST(ArenaStorage, ValuesIdenticalToVectorsMode) {
-  for (const CscMatrix& a : test::small_matrices()) {
-    Fixture f(a);
-    BlockMatrix arena(f.an.blocks, StorageMode::kArena);
-    BlockMatrix vectors(f.an.blocks, StorageMode::kVectors);
-    arena.load(f.permuted);
-    vectors.load(f.permuted);
-    // Bitwise: placement is the ONLY thing the mode changes.
-    EXPECT_LT(blas::max_abs_diff(arena.to_dense().view(),
-                                 vectors.to_dense().view()),
-              1e-300);
-    EXPECT_EQ(arena.stored_doubles(), vectors.stored_doubles());
-  }
-}
+// The arena: alignment, footprint, reuse, first-touch init and moves.
 
 TEST(ArenaStorage, ColumnBasesAre64ByteAligned) {
   CscMatrix a = test::small_matrices()[2];
   Fixture f(a);
-  BlockMatrix bm(f.an.blocks, StorageMode::kArena);
+  BlockMatrix bm(f.an.blocks);
   for (int j = 0; j < bm.num_block_columns(); ++j) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bm.column(j).data) % 64, 0u)
         << "column " << j;
@@ -168,11 +153,9 @@ TEST(ArenaStorage, ColumnBasesAre64ByteAligned) {
 TEST(ArenaStorage, StorageBytesCoversStoredDoubles) {
   CscMatrix a = test::small_matrices()[1];
   Fixture f(a);
-  BlockMatrix arena(f.an.blocks, StorageMode::kArena);
-  BlockMatrix vectors(f.an.blocks, StorageMode::kVectors);
+  BlockMatrix arena(f.an.blocks);
   // Capacity (incl. alignment padding) can only exceed the payload.
   EXPECT_GE(arena.storage_bytes(), 8 * arena.stored_doubles());
-  EXPECT_GE(vectors.storage_bytes(), 8 * vectors.stored_doubles());
   // Padding is bounded: < 64 bytes per block column.
   EXPECT_LT(arena.storage_bytes(),
             8 * arena.stored_doubles() +
@@ -182,7 +165,7 @@ TEST(ArenaStorage, StorageBytesCoversStoredDoubles) {
 TEST(ArenaStorage, SetZeroThenReloadRefactorizes) {
   CscMatrix a = test::small_matrices()[3];
   Fixture f(a);
-  BlockMatrix bm(f.an.blocks, StorageMode::kArena);
+  BlockMatrix bm(f.an.blocks);
   bm.load(f.permuted);
   blas::DenseMatrix first = bm.to_dense();
   bm.set_zero();  // the contiguous-fill refactorization path
@@ -194,8 +177,8 @@ TEST(ArenaStorage, SetZeroThenReloadRefactorizes) {
 TEST(ArenaStorage, ThreadedFirstTouchInitMatchesSequential) {
   CscMatrix a = test::small_matrices()[0];
   Fixture f(a);
-  BlockMatrix seq(f.an.blocks, StorageMode::kArena, 1);
-  BlockMatrix par(f.an.blocks, StorageMode::kArena, 8);
+  BlockMatrix seq(f.an.blocks, 1);
+  BlockMatrix par(f.an.blocks, 8);
   seq.load(f.permuted);
   par.load(f.permuted);
   EXPECT_LT(blas::max_abs_diff(seq.to_dense().view(), par.to_dense().view()),
@@ -205,7 +188,7 @@ TEST(ArenaStorage, ThreadedFirstTouchInitMatchesSequential) {
 TEST(ArenaStorage, MoveTransfersOwnership) {
   CscMatrix a = test::small_matrices()[0];
   Fixture f(a);
-  BlockMatrix bm(f.an.blocks, StorageMode::kArena);
+  BlockMatrix bm(f.an.blocks);
   bm.load(f.permuted);
   blas::DenseMatrix before = bm.to_dense();
   const double* base = bm.column(0).data;
@@ -213,11 +196,6 @@ TEST(ArenaStorage, MoveTransfersOwnership) {
   EXPECT_EQ(moved.column(0).data, base);  // no reallocation, no copy
   EXPECT_LT(blas::max_abs_diff(before.view(), moved.to_dense().view()),
             1e-300);
-}
-
-TEST(ArenaStorage, ToStringNames) {
-  EXPECT_STREQ(to_string(StorageMode::kArena), "arena");
-  EXPECT_STREQ(to_string(StorageMode::kVectors), "vectors");
 }
 
 }  // namespace

@@ -38,16 +38,8 @@ std::vector<ModeCase> all_modes() {
     modes.push_back(m);
   }
   {
-    ModeCase m{"threaded-worksteal", {}};
+    ModeCase m{"threaded", {}};
     m.opt.mode = ExecutionMode::kThreaded;
-    m.opt.executor = rt::ExecutorKind::kWorkStealing;
-    m.opt.threads = 4;
-    modes.push_back(m);
-  }
-  {
-    ModeCase m{"threaded-central", {}};
-    m.opt.mode = ExecutionMode::kThreaded;
-    m.opt.executor = rt::ExecutorKind::kCentralQueue;
     m.opt.threads = 4;
     modes.push_back(m);
   }

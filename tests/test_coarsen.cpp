@@ -19,6 +19,7 @@
 #include "core/driver.h"
 #include "core/sparse_lu.h"
 #include "matrix/generators.h"
+#include "runtime/shared_runtime.h"
 #include "taskgraph/coarsen.h"
 #include "test_helpers.h"
 
@@ -244,8 +245,6 @@ TEST(Coarsen, BitIdenticalToSequentialAcrossSweepLayoutsAndThreads) {
       // (everything fuses per tree) -- all must be exact.
       base.coarsen_threshold_flops =
           m % 4 == 0 ? 0.0 : (m % 4 == 1 ? 1e-3 : 1e30);
-      // Storage rotation doubles as arena-vs-vectors value-identity proof.
-      base.storage = m % 2 == 0 ? StorageMode::kArena : StorageMode::kVectors;
 
       const Analysis an = analyze(a, aopt);
       NumericOptions refopt = base;
@@ -260,12 +259,44 @@ TEST(Coarsen, BitIdenticalToSequentialAcrossSweepLayoutsAndThreads) {
         nopt.mode = ExecutionMode::kThreaded;
         nopt.threads = threads;
         nopt.coarsen = true;
-        nopt.storage = threads % 2 == 0 ? StorageMode::kVectors
-                                        : StorageMode::kArena;
         const Factorization co(an, a, nopt);
         EXPECT_TRUE(co.coarsen_stats().ran) << what;
         expect_same_factorization(ref, co, what);
       }
+    }
+  }
+}
+
+// Both shapes of the work-stealing runtime -- a private team made for the
+// call (the caller is worker 0, roots dealt into the deques) and a
+// persistent pool the graph is submitted to (roots injected) -- must give
+// the same coarsened factors, bitwise equal to kSequential.
+TEST(Coarsen, PrivateTeamAndSharedPoolBitIdentical) {
+  const std::vector<CscMatrix> pool = sweep_matrices();
+  for (std::size_t m = 0; m < pool.size(); m += 5) {
+    const CscMatrix& a = pool[m];
+    Options aopt;
+    aopt.layout = m % 2 == 0 ? Layout::k1D : Layout::k2D;
+    const Analysis an = analyze(a, aopt);
+    NumericOptions refopt;
+    refopt.mode = ExecutionMode::kSequential;
+    const Factorization ref(an, a, refopt);
+    for (int threads : {1, 2, 4, 8}) {
+      const std::string what =
+          "matrix " + std::to_string(m) + ", threads " + std::to_string(threads);
+      NumericOptions nopt;
+      nopt.mode = ExecutionMode::kThreaded;
+      nopt.threads = threads;
+      nopt.coarsen = true;
+      const Factorization own(an, a, nopt);
+      rt::SharedRuntime shared(threads);
+      nopt.shared_runtime = &shared;
+      const Factorization on_pool(an, a, nopt);
+      EXPECT_TRUE(own.coarsen_stats().ran) << what;
+      EXPECT_TRUE(on_pool.coarsen_stats().ran) << what;
+      expect_same_factorization(ref, own, what + ", private team");
+      expect_same_factorization(ref, on_pool, what + ", shared pool");
+      expect_same_factorization(own, on_pool, what + ", private vs shared");
     }
   }
 }

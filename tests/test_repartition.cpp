@@ -236,7 +236,6 @@ TEST(Repartition, BlockingAutoBitIdenticalAcrossSweepLayoutsAndThreads) {
       // against its peers) -- that is the pre-existing determinism contract
       // this gate inherits, so 2-D always runs coarsened here.  1-D rotates.
       base.coarsen = layout == Layout::k2D || m % 2 == 0;
-      base.storage = m % 2 == 0 ? StorageMode::kArena : StorageMode::kVectors;
 
       const Analysis an = analyze(a, aopt);
       NumericOptions refopt = base;

@@ -1,11 +1,13 @@
-// Runtime: thread pool semantics, the work-stealing deque, and DAG executor
-// ordering guarantees (both executor kinds).
+// Runtime: the work-stealing deque, and the DAG executor's ordering,
+// cancellation and lifetime guarantees on both shapes of the work-stealing
+// runtime (a private team per call, and a persistent shared pool).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -16,87 +18,41 @@
 #include "core/analysis.h"
 #include "runtime/dag_executor.h"
 #include "runtime/shared_runtime.h"
-#include "runtime/thread_pool.h"
 #include "runtime/work_steal_deque.h"
 #include "test_helpers.h"
 
 namespace plu::rt {
 namespace {
 
-constexpr ExecutorKind kBothKinds[] = {ExecutorKind::kWorkStealing,
-                                       ExecutorKind::kCentralQueue};
-
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
+/// The two ways a graph reaches the runtime: a private team made for the
+/// call (nullptr) and a persistent pool it is submitted to.
+class Pools {
+ public:
+  explicit Pools(int threads) : shared_(threads) {}
+  std::vector<SharedRuntime*> both() { return {nullptr, &shared_}; }
+  static const char* name(const SharedRuntime* p) {
+    return p == nullptr ? "private team" : "shared pool";
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
 
-TEST(ThreadPool, JobsMaySubmitJobs) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    count.fetch_add(1);
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&] { count.fetch_add(1); });
-    }
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 11);
-}
+ private:
+  SharedRuntime shared_;
+};
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(3);
-  pool.wait_idle();
-  SUCCEED();
-}
-
-TEST(ThreadPool, AtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<bool> ran{false};
-  pool.submit([&] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPool, WaitIdleCorrectUnderTransitiveSubmitStress) {
-  // wait_idle must cover jobs submitted BY jobs: each root fans out a
-  // 3-level tree of children, repeatedly.  A wait_idle that only counted
-  // directly submitted jobs would return early and miss increments.
-  ThreadPool pool(4);
-  for (int round = 0; round < 25; ++round) {
-    std::atomic<long> count{0};
-    // spawn(depth) runs one unit of work and submits 3 children per level.
-    std::function<void(int)> spawn = [&](int depth) {
-      count.fetch_add(1, std::memory_order_relaxed);
-      if (depth == 0) return;
-      for (int c = 0; c < 3; ++c) {
-        pool.submit([&spawn, depth] { spawn(depth - 1); });
-      }
-    };
-    for (int r = 0; r < 4; ++r) {
-      pool.submit([&spawn] { spawn(3); });
-    }
-    pool.wait_idle();
-    // 4 roots x (1 + 3 + 9 + 27) nodes.
-    EXPECT_EQ(count.load(), 4 * 40) << "round " << round;
-  }
+ExecOptions on(SharedRuntime* pool) {
+  ExecOptions eopt;
+  eopt.shared = pool;
+  return eopt;
 }
 
 TEST(WorkStealDeque, OwnerSideIsLifo) {
-  WorkStealDeque d;
+  WorkStealDeque64 d;
   for (int v = 0; v < 5; ++v) d.push(v);
   for (int v = 4; v >= 0; --v) EXPECT_EQ(d.pop(), v);
-  EXPECT_EQ(d.pop(), WorkStealDeque::kEmpty);
+  EXPECT_EQ(d.pop(), WorkStealDeque64::kEmpty);
 }
 
 TEST(WorkStealDeque, StealTakesOldestAndPeekAgrees) {
-  WorkStealDeque d;
+  WorkStealDeque64 d;
   for (int v = 10; v < 15; ++v) d.push(v);
   EXPECT_EQ(d.peek_top(), 10);
   EXPECT_EQ(d.steal(), 10);
@@ -108,12 +64,12 @@ TEST(WorkStealDeque, StealTakesOldestAndPeekAgrees) {
 TEST(WorkStealDeque, GrowPreservesLiveRange) {
   // Push far past the initial capacity (16): the ring must grow and keep
   // every queued value, in order, for both ends.
-  WorkStealDeque d(16);
+  WorkStealDeque64 d(16);
   const int kN = 1000;
   for (int v = 0; v < kN; ++v) d.push(v);
   EXPECT_EQ(d.steal(), 0);
   for (int v = kN - 1; v >= 1; --v) EXPECT_EQ(d.pop(), v);
-  EXPECT_EQ(d.pop(), WorkStealDeque::kEmpty);
+  EXPECT_EQ(d.pop(), WorkStealDeque64::kEmpty);
 }
 
 TEST(WorkStealDeque, ConcurrentThievesConserveItems) {
@@ -122,7 +78,7 @@ TEST(WorkStealDeque, ConcurrentThievesConserveItems) {
   // counts[] all end at 1 and pops + steals == kN.
   const int kN = 20000;
   const int kThieves = 3;
-  WorkStealDeque d(16);  // small initial ring so grow() runs under contention
+  WorkStealDeque64 d(16);  // small initial ring so grow() runs under contention
   std::vector<std::atomic<int>> counts(kN);
   for (auto& c : counts) c.store(0);
   std::atomic<bool> done{false};
@@ -131,7 +87,7 @@ TEST(WorkStealDeque, ConcurrentThievesConserveItems) {
   for (int t = 0; t < kThieves; ++t) {
     thieves.emplace_back([&] {
       while (!done.load() || d.size_hint() > 0) {
-        int v = d.steal();
+        const std::int64_t v = d.steal();
         if (v >= 0) {
           counts[v].fetch_add(1);
           taken.fetch_add(1);
@@ -142,15 +98,15 @@ TEST(WorkStealDeque, ConcurrentThievesConserveItems) {
   for (int v = 0; v < kN; ++v) {
     d.push(v);
     if (v % 7 == 0) {
-      int got = d.pop();
+      const std::int64_t got = d.pop();
       if (got >= 0) {
         counts[got].fetch_add(1);
         taken.fetch_add(1);
       }
     }
   }
-  int got;
-  while ((got = d.pop()) != WorkStealDeque::kEmpty) {
+  std::int64_t got;
+  while ((got = d.pop()) != WorkStealDeque64::kEmpty) {
     counts[got].fetch_add(1);
     taken.fetch_add(1);
   }
@@ -169,31 +125,29 @@ taskgraph::TaskGraph small_graph(const CscMatrix& a,
   return analyze(a, opt).graph;
 }
 
-TEST(DagExecutor, RunsEveryTaskOnceBothExecutors) {
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
+TEST(DagExecutor, RunsEveryTaskOnce) {
+  Pools pools(4);
+  for (SharedRuntime* pool : pools.both()) {
     for (const CscMatrix& a : test::small_matrices()) {
       taskgraph::TaskGraph g = small_graph(a, taskgraph::GraphKind::kEforest);
       std::vector<std::atomic<int>> runs(g.size());
       for (auto& r : runs) r.store(0);
       ExecutionReport rep = execute_task_graph(
-          g, 4, [&](int id) { runs[id].fetch_add(1); }, eopt);
-      EXPECT_TRUE(rep.completed) << to_string(kind);
-      EXPECT_EQ(rep.tasks_run, g.size()) << to_string(kind);
+          g, 4, [&](int id) { runs[id].fetch_add(1); }, on(pool));
+      EXPECT_TRUE(rep.completed) << Pools::name(pool);
+      EXPECT_EQ(rep.tasks_run, g.size()) << Pools::name(pool);
       for (int id = 0; id < g.size(); ++id) {
-        EXPECT_EQ(runs[id].load(), 1) << to_string(kind) << " task " << id;
+        EXPECT_EQ(runs[id].load(), 1) << Pools::name(pool) << " task " << id;
       }
     }
   }
 }
 
-TEST(DagExecutor, RespectsDependenceOrderBothExecutors) {
+TEST(DagExecutor, RespectsDependenceOrder) {
   CscMatrix a = test::small_matrices()[0];
   taskgraph::TaskGraph g = small_graph(a, taskgraph::GraphKind::kSStar);
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
+  Pools pools(8);
+  for (SharedRuntime* pool : pools.both()) {
     // Logical clock: record a finish stamp per task; every edge must observe
     // pred.finish < succ.start.
     std::atomic<long> clock{0};
@@ -201,22 +155,23 @@ TEST(DagExecutor, RespectsDependenceOrderBothExecutors) {
     ExecutionReport rep = execute_task_graph(g, 8, [&](int id) {
       start[id] = clock.fetch_add(1);
       finish[id] = clock.fetch_add(1);
-    }, eopt);
-    ASSERT_TRUE(rep.completed) << to_string(kind);
+    }, on(pool));
+    ASSERT_TRUE(rep.completed) << Pools::name(pool);
     for (int u = 0; u < g.size(); ++u) {
       for (int v : g.succ[u]) {
         EXPECT_LT(finish[u], start[v])
-            << to_string(kind) << " edge " << u << "->" << v;
+            << Pools::name(pool) << " edge " << u << "->" << v;
       }
     }
   }
 }
 
 TEST(DagExecutor, SingleWorkerFollowsCriticalPathPriorities) {
-  // Star: 0 -> {1, 2, 3, 4} with explicit priorities.  The work-stealing
-  // executor pushes released successors in ASCENDING priority so its LIFO
-  // pop serves the most critical first; with one worker the execution order
-  // is therefore deterministic: root, then children by descending priority.
+  // Star: 0 -> {1, 2, 3, 4} with explicit priorities.  The runtime pushes
+  // released successors in ASCENDING priority so its LIFO pop serves the
+  // most critical first; with one worker the execution order is therefore
+  // deterministic: root, then children by descending priority.  Both
+  // shapes: the caller alone as worker 0, and a one-worker shared pool.
   taskgraph::TaskGraph g;
   g.tasks = taskgraph::TaskList({{}, {}, {}, {}, {}});
   g.succ.assign(5, {});
@@ -224,14 +179,16 @@ TEST(DagExecutor, SingleWorkerFollowsCriticalPathPriorities) {
   g.succ[0] = {1, 2, 3, 4};
   for (int v = 1; v < 5; ++v) g.indegree[v] = 1;
   std::vector<double> prio = {100.0, 1.0, 5.0, 9.0, 3.0};
-  ExecOptions eopt;
-  eopt.kind = ExecutorKind::kWorkStealing;
-  eopt.priorities = &prio;
-  std::vector<int> seen;
-  ExecutionReport rep =
-      execute_task_graph(g, 1, [&](int id) { seen.push_back(id); }, eopt);
-  ASSERT_TRUE(rep.completed);
-  EXPECT_EQ(seen, (std::vector<int>{0, 3, 2, 4, 1}));
+  Pools pools(1);
+  for (SharedRuntime* pool : pools.both()) {
+    ExecOptions eopt = on(pool);
+    eopt.priorities = &prio;
+    std::vector<int> seen;
+    ExecutionReport rep =
+        execute_task_graph(g, 1, [&](int id) { seen.push_back(id); }, eopt);
+    ASSERT_TRUE(rep.completed) << Pools::name(pool);
+    EXPECT_EQ(seen, (std::vector<int>{0, 3, 2, 4, 1})) << Pools::name(pool);
+  }
 }
 
 TEST(DagExecutor, StealHeavyUnbalancedDagRunsCorrectly) {
@@ -274,22 +231,21 @@ TEST(DagExecutor, CyclicGraphRunsAcyclicPrefixOnceAndReportsIncomplete) {
   // 0 -> 1, 1 -> 2, 2 -> 1: task 0 is runnable, the 1-2 cycle is not.
   // execute_dag (no up-front acyclicity check) must run the acyclic prefix
   // exactly once, never run a cyclic task, and report completed == false --
-  // on BOTH executors (negative control for the work-stealing termination
-  // counter: outstanding_ drains when the prefix does, without the cycle).
+  // on both runtime shapes (negative control for the termination counter:
+  // outstanding_ drains when the prefix does, without the cycle).
   std::vector<std::vector<int>> succ = {{1}, {2}, {1}};
   std::vector<int> indegree = {0, 2, 1};
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
+  Pools pools(4);
+  for (SharedRuntime* pool : pools.both()) {
     std::vector<std::atomic<int>> runs(3);
     for (auto& r : runs) r.store(0);
     ExecutionReport rep = execute_dag(
-        succ, indegree, 4, [&](int id) { runs[id].fetch_add(1); }, eopt);
-    EXPECT_FALSE(rep.completed) << to_string(kind);
-    EXPECT_EQ(rep.tasks_run, 1) << to_string(kind);
-    EXPECT_EQ(runs[0].load(), 1) << to_string(kind);
-    EXPECT_EQ(runs[1].load(), 0) << to_string(kind);
-    EXPECT_EQ(runs[2].load(), 0) << to_string(kind);
+        succ, indegree, 4, [&](int id) { runs[id].fetch_add(1); }, on(pool));
+    EXPECT_FALSE(rep.completed) << Pools::name(pool);
+    EXPECT_EQ(rep.tasks_run, 1) << Pools::name(pool);
+    EXPECT_EQ(runs[0].load(), 1) << Pools::name(pool);
+    EXPECT_EQ(runs[1].load(), 0) << Pools::name(pool);
+    EXPECT_EQ(runs[2].load(), 0) << Pools::name(pool);
   }
 }
 
@@ -302,12 +258,8 @@ TEST(DagExecutor, DetectsCycle) {
   g.succ[1] = {0};
   g.indegree[0] = 1;
   g.indegree[1] = 1;
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
-    ExecutionReport rep = execute_task_graph(g, 2, [](int) {}, eopt);
-    EXPECT_FALSE(rep.completed) << to_string(kind);
-  }
+  ExecutionReport rep = execute_task_graph(g, 2, [](int) {});
+  EXPECT_FALSE(rep.completed);
 }
 
 TEST(FuzzedExecutor, RunsEveryTaskOnceAcrossSeeds) {
@@ -399,7 +351,7 @@ TEST(FuzzedExecutor, EmptyGraphCompletes) {
   EXPECT_EQ(rep.tasks_run, 0);
 }
 
-TEST(DagExecutor, ThrowingTaskCancelsDownstreamAndRethrowsBothExecutors) {
+TEST(DagExecutor, ThrowingTaskCancelsDownstreamAndRethrows) {
   // Chain 0 -> 1 -> 2 -> ... plus a wide fan off the root.  Task 1 throws:
   // the executor must rethrow the exception on the calling thread (never
   // std::terminate), and every task downstream of the thrower must drain
@@ -413,9 +365,9 @@ TEST(DagExecutor, ThrowingTaskCancelsDownstreamAndRethrowsBothExecutors) {
   for (int w = 0; w < kWide; ++w) succ[0].push_back(1 + kChain + w);
   succ[0].push_back(1);  // chain: 1 -> 2 -> ... -> kChain
   for (int c = 1; c < kChain; ++c) succ[c] = {c + 1};
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
+  Pools pools(4);
+  for (SharedRuntime* pool : pools.both()) {
+    ExecOptions eopt = on(pool);
     CancelToken token;
     eopt.cancel = &token;
     std::vector<std::atomic<int>> runs(n);
@@ -428,35 +380,35 @@ TEST(DagExecutor, ThrowingTaskCancelsDownstreamAndRethrowsBothExecutors) {
       }, eopt);
     } catch (const std::runtime_error& e) {
       threw = true;
-      EXPECT_STREQ(e.what(), "pivot breakdown in task 1") << to_string(kind);
+      EXPECT_STREQ(e.what(), "pivot breakdown in task 1") << Pools::name(pool);
     }
-    EXPECT_TRUE(threw) << to_string(kind);
-    EXPECT_TRUE(token.cancelled()) << to_string(kind);
+    EXPECT_TRUE(threw) << Pools::name(pool);
+    EXPECT_TRUE(token.cancelled()) << Pools::name(pool);
     for (int c = 2; c <= kChain; ++c) {
       EXPECT_EQ(runs[c].load(), 0)
-          << to_string(kind) << " chain task " << c << " ran after the throw";
+          << Pools::name(pool) << " chain task " << c << " ran after the throw";
     }
     for (int id = 0; id < n; ++id) {
-      EXPECT_LE(runs[id].load(), 1) << to_string(kind) << " task " << id;
+      EXPECT_LE(runs[id].load(), 1) << Pools::name(pool) << " task " << id;
     }
   }
 }
 
-TEST(DagExecutor, PreCancelledTokenDrainsWithoutRunningBothExecutors) {
+TEST(DagExecutor, PreCancelledTokenDrainsWithoutRunning) {
   CscMatrix a = test::small_matrices()[0];
   taskgraph::TaskGraph g = small_graph(a, taskgraph::GraphKind::kEforest);
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
+  Pools pools(4);
+  for (SharedRuntime* pool : pools.both()) {
+    ExecOptions eopt = on(pool);
     CancelToken token;
     token.cancel();
     eopt.cancel = &token;
     std::atomic<int> ran{0};
     ExecutionReport rep =
         execute_task_graph(g, 4, [&](int) { ran.fetch_add(1); }, eopt);
-    EXPECT_EQ(ran.load(), 0) << to_string(kind);
-    EXPECT_FALSE(rep.completed) << to_string(kind);
-    EXPECT_TRUE(rep.cancelled) << to_string(kind);
+    EXPECT_EQ(ran.load(), 0) << Pools::name(pool);
+    EXPECT_FALSE(rep.completed) << Pools::name(pool);
+    EXPECT_TRUE(rep.cancelled) << Pools::name(pool);
   }
 }
 
@@ -466,9 +418,9 @@ TEST(DagExecutor, CancelFromInsideATaskStopsDependenceRelease) {
   // drains through the skipped tasks).
   std::vector<std::vector<int>> succ = {{1}, {2}, {}};
   std::vector<int> indegree = {0, 1, 1};
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
+  Pools pools(2);
+  for (SharedRuntime* pool : pools.both()) {
+    ExecOptions eopt = on(pool);
     CancelToken token;
     eopt.cancel = &token;
     std::vector<std::atomic<int>> runs(3);
@@ -477,11 +429,11 @@ TEST(DagExecutor, CancelFromInsideATaskStopsDependenceRelease) {
       runs[id].fetch_add(1);
       if (id == 0) token.cancel();
     }, eopt);
-    EXPECT_EQ(runs[0].load(), 1) << to_string(kind);
-    EXPECT_EQ(runs[1].load(), 0) << to_string(kind);
-    EXPECT_EQ(runs[2].load(), 0) << to_string(kind);
-    EXPECT_FALSE(rep.completed) << to_string(kind);
-    EXPECT_TRUE(rep.cancelled) << to_string(kind);
+    EXPECT_EQ(runs[0].load(), 1) << Pools::name(pool);
+    EXPECT_EQ(runs[1].load(), 0) << Pools::name(pool);
+    EXPECT_EQ(runs[2].load(), 0) << Pools::name(pool);
+    EXPECT_FALSE(rep.completed) << Pools::name(pool);
+    EXPECT_TRUE(rep.cancelled) << Pools::name(pool);
   }
 }
 
@@ -529,7 +481,6 @@ TEST(DagExecutor, WorkStealingCancellationTwentySeedGate) {
   for (int seed = 1; seed <= 20; ++seed) {
     const int thrower = 1 + (seed * 37) % kWide;  // a fan task
     ExecOptions eopt;
-    eopt.kind = ExecutorKind::kWorkStealing;
     CancelToken token;
     eopt.cancel = &token;
     std::vector<std::atomic<int>> runs(n);
@@ -561,7 +512,7 @@ TEST(DagExecutor, WorkStealingCancellationTwentySeedGate) {
 TEST(DagExecutor, ExternalCancelRacingFinalReleaseFortySeedFuzz) {
   // Drain-vs-release window: an EXTERNAL canceller fires while the last few
   // tasks are releasing their dependences, so the token trip races the
-  // final fetch_sub/park-wake sequence of both executors.  The trigger
+  // final fetch_sub/park-wake sequence, on both runtime shapes.  The trigger
   // point is seed-derived (anywhere from "before the root" to "after the
   // last task"), which sweeps the trip across the whole run.  Contract
   // under every trip point: every task runs at most once, a task only ran
@@ -575,11 +526,11 @@ TEST(DagExecutor, ExternalCancelRacingFinalReleaseFortySeedFuzz) {
   for (int w = 0; w < kWide; ++w) succ[0].push_back(1 + w);
   succ[0].push_back(1 + kWide);  // chain head
   for (int c = 0; c + 1 < kChain; ++c) succ[1 + kWide + c] = {1 + kWide + c + 1};
-  for (ExecutorKind kind : kBothKinds) {
+  Pools pools(4);
+  for (SharedRuntime* pool : pools.both()) {
     for (int seed = 1; seed <= 40; ++seed) {
       const long trigger = (seed * 7919L) % (n + 2);  // 0 .. n+1
-      ExecOptions eopt;
-      eopt.kind = kind;
+      ExecOptions eopt = on(pool);
       CancelToken token;
       eopt.cancel = &token;
       std::vector<std::atomic<int>> runs(n);
@@ -602,24 +553,80 @@ TEST(DagExecutor, ExternalCancelRacingFinalReleaseFortySeedFuzz) {
       stop_canceller.store(true, std::memory_order_release);
       canceller.join();
       EXPECT_EQ(rep.completed, rep.tasks_run == n)
-          << to_string(kind) << " seed " << seed;
+          << Pools::name(pool) << " seed " << seed;
       long total = 0;
       for (int id = 0; id < n; ++id) {
         EXPECT_LE(runs[id].load(), 1)
-            << to_string(kind) << " seed " << seed << " task " << id;
+            << Pools::name(pool) << " seed " << seed << " task " << id;
         total += runs[id].load();
       }
-      EXPECT_EQ(total, rep.tasks_run) << to_string(kind) << " seed " << seed;
+      EXPECT_EQ(total, rep.tasks_run) << Pools::name(pool) << " seed " << seed;
       for (int w = 0; w < kWide; ++w) {
         EXPECT_LE(runs[1 + w].load(), runs[0].load())
-            << to_string(kind) << " seed " << seed << " fan " << w;
+            << Pools::name(pool) << " seed " << seed << " fan " << w;
       }
       for (int c = 1; c < kChain; ++c) {
         EXPECT_LE(runs[1 + kWide + c].load(), runs[1 + kWide + c - 1].load())
-            << to_string(kind) << " seed " << seed << " chain " << c;
+            << Pools::name(pool) << " seed " << seed << " chain " << c;
       }
     }
   }
+}
+
+int live_threads() {
+  int n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// live_threads() once it drops to `expect`, or after two seconds.  A
+/// joined thread can stay listed for a moment while the kernel reaps it.
+int settled_threads(int expect) {
+  int n = live_threads();
+  for (int i = 0; i < 2000 && n > expect; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = live_threads();
+  }
+  return n;
+}
+
+TEST(DagExecutor, PrivateTeamLeavesNoThreadRunning) {
+  // A private team exists only for its call: the caller is worker 0 and the
+  // three helpers of a 4-thread run are started for the call and joined
+  // before execute_dag returns.  Threads are counted in /proc/self/task;
+  // while a task runs, a helper may still be starting, so the count then is
+  // bounded, not exact.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  const int kWide = 32;
+  std::vector<std::vector<int>> succ(1 + kWide);
+  std::vector<int> indegree(1 + kWide, 1);
+  indegree[0] = 0;
+  for (int w = 0; w < kWide; ++w) succ[0].push_back(1 + w);
+  // The first threads a process starts can bring up threads it keeps for
+  // good (a sanitizer's background thread, for one): count from after a
+  // warm-up call, once its helpers are gone.
+  execute_dag(succ, indegree, 4, [](int) {});
+  int before = live_threads();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    before = std::min(before, live_threads());
+  }
+  for (int call = 0; call < 50; ++call) {
+    ASSERT_EQ(settled_threads(before), before) << "call " << call;
+    int during = 0;  // written by the root task, read after the join
+    ExecutionReport rep = execute_dag(succ, indegree, 4, [&](int id) {
+      if (id == 0) during = live_threads();
+    });
+    ASSERT_TRUE(rep.completed) << "call " << call;
+    EXPECT_LE(during, before + 3) << "call " << call;
+  }
+  EXPECT_EQ(settled_threads(before), before);
 }
 
 TEST(SharedRuntime, EightGraphsSubmittedFromEightThreadsInterleave) {

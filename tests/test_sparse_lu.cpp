@@ -491,25 +491,6 @@ TEST(SparseLU, RefactorInPlaceScanCatchesOverflowOnlyInU) {
   expect_bitwise_equal(f, Factorization(an, a), "finite again");
 }
 
-TEST(SparseLU, RefactorInPlaceStorageSwitchGetsFreshSlab) {
-  const CscMatrix a = gen::grid3d(6, 5, 4, {});
-  SparseLU lu;
-  lu.factorize(a);
-  const double* arena = lu.factorization().blocks().column(0).data;
-  lu.numeric_options().storage = StorageMode::kVectors;
-  const CscMatrix a2 = gen::perturb_values(a, 0.2, 5);
-  lu.factorize(a2);
-  const Factorization& f = lu.factorization();
-  EXPECT_EQ(f.blocks().storage_mode(), StorageMode::kVectors);
-  EXPECT_NE(f.blocks().column(0).data, arena);
-  expect_bitwise_equal(f, Factorization(lu.analysis(), a2), "kVectors");
-  const double* vectors = f.blocks().column(0).data;
-  lu.factorize(a);  // same storage again: refactorized in place
-  EXPECT_EQ(&lu.factorization(), &f);
-  EXPECT_EQ(f.blocks().column(0).data, vectors);
-  expect_bitwise_equal(f, Factorization(lu.analysis(), a), "kVectors again");
-}
-
 TEST(SparseLU, RefactorInPlaceThrowDropsFactorization) {
   const CscMatrix a = gen::grid2d(8, 8, {});
   const std::vector<double> b = test::random_vector(a.rows(), 62);

@@ -36,8 +36,6 @@
 //                           auto: the analysis tile plan drives per-tile
 //                           gemm routing and run fusion; bit-identical to
 //                           off at every thread count)
-//     --storage MODE        arena | vectors block storage (default arena:
-//                           one contiguous 64-byte-aligned slab)
 //     --perturb             static pivot perturbation (SuperLU_DIST-style):
 //                           tiny pivots are bumped instead of failing; pair
 //                           with --refine to recover accuracy
@@ -78,7 +76,7 @@ double seconds_since(Clock::time_point t0) {
                "       [--no-postorder] [--taskgraph eforest|sstar|sstar-po]\n"
                "       [--layout 1d|2d] [--scale] [--pivot-threshold T]\n"
                "       [--threads N] [--analyze-threads N] [--lazy]\n"
-               "       [--coarsen] [--blocking auto|off] [--storage arena|vectors]\n"
+               "       [--coarsen] [--blocking auto|off]\n"
                "       [--perturb] [--refine] [--simulate P] [--stats]\n"
                "       [--verbose]\n",
                argv0);
@@ -207,11 +205,6 @@ int main(int argc, char** argv) {
       if (m == "auto") nopt.blocking = plu::BlockingMode::kAuto;
       else if (m == "off") nopt.blocking = plu::BlockingMode::kOff;
       else usage(argv[0]);
-    } else if (arg == "--storage") {
-      std::string s = next();
-      if (s == "arena") nopt.storage = plu::StorageMode::kArena;
-      else if (s == "vectors") nopt.storage = plu::StorageMode::kVectors;
-      else usage(argv[0]);
     } else if (arg == "--perturb") {
       nopt.perturb_pivots = true;
     } else if (arg == "--refine") {
@@ -292,8 +285,7 @@ int main(int argc, char** argv) {
                   bt.tile_runs, bt.gemms_fused, bt.routed_packed,
                   bt.routed_direct, bt.scans_elided);
     }
-    std::printf("storage: %s, %.1f MB peak\n",
-                plu::to_string(f.blocks().storage_mode()),
+    std::printf("storage: arena, %.1f MB peak\n",
                 f.blocks().storage_bytes() / 1e6);
     if (f.status() == plu::FactorStatus::kPerturbed) {
       std::printf("perturbed: %zu pivot(s) bumped to %.3e (growth %.3e); "

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Build and run the concurrency-correctness test tier under ThreadSanitizer
-# and AddressSanitizer (the `sanitize` ctest label: thread pool, DAG
-# executors, fuzzed schedules, race harness, threaded factorization).
+# and AddressSanitizer (the `sanitize` ctest label: work-stealing runtime,
+# fuzzed schedules, race harness, threaded factorization).
 #
 #   tools/run_sanitizers.sh [thread|address|undefined|address+undefined ...]
 #
